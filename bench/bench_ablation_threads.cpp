@@ -72,7 +72,6 @@ SweepResult run_load(int workers, int clients, double virtual_seconds) {
   // Measure the load phase only: zero the registry after provisioning so
   // the reported counters/histograms cover exactly the closed-loop run.
   bed.server().metrics().reset_values();
-  bed.server().metrics().clear_spans();
 
   const Micros deadline = bed.sim().now() + ms_to_us(virtual_seconds * 1000);
 

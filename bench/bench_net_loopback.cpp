@@ -44,14 +44,11 @@
 // phase x mode x concurrency x shards) to the current directory, or to
 // argv[1].
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "client/browser.h"
@@ -199,67 +196,7 @@ PhaseRow run_phase(net::EventLoop& loop, std::size_t nclients,
   return row;
 }
 
-/// Hot-counter contention before/after: the registry's Counter used to be
-/// one shared atomic — every inc() from the event-loop thread and all
-/// workers bounced a single cache line. It is now sharded into
-/// cache-line-sized cells (obs::Counter::kCells). This microbench runs the
-/// same multithreaded increment storm against both layouts so the JSON
-/// records the speedup the net.* / securechan.* hot paths got. The
-/// speedup only manifests with real parallel cores: on a single-core
-/// host the shared atomic never bounces between caches, so the sharded
-/// layout shows only its per-inc overhead — `cores` is recorded so a
-/// regression diff can tell the two situations apart.
-struct CounterBench {
-  int threads = 0;
-  unsigned cores = 0;  // hardware_concurrency at run time
-  std::uint64_t per_thread = 0;
-  double single_atomic_mops = 0;  // "before": one shared atomic
-  double sharded_mops = 0;        // "after": obs::Counter
-  double speedup = 0;
-};
-
-CounterBench run_counter_bench() {
-  CounterBench result;
-  result.cores = std::thread::hardware_concurrency();
-  result.threads =
-      static_cast<int>(std::min(8u, std::max(2u, result.cores)));
-  result.per_thread = 2'000'000;
-
-  const auto storm = [&](auto&& bump) {
-    std::vector<std::thread> workers;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int t = 0; t < result.threads; ++t) {
-      workers.emplace_back([&] {
-        for (std::uint64_t i = 0; i < result.per_thread; ++i) bump();
-      });
-    }
-    for (auto& w : workers) w.join();
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - t0;
-    const double total = static_cast<double>(result.threads) *
-                         static_cast<double>(result.per_thread);
-    return total / wall.count() / 1e6;
-  };
-
-  std::atomic<std::uint64_t> single{0};
-  result.single_atomic_mops =
-      storm([&] { single.fetch_add(1, std::memory_order_relaxed); });
-
-  obs::Counter sharded;
-  result.sharded_mops = storm([&] { sharded.inc(); });
-  if (sharded.value() !=
-      static_cast<std::uint64_t>(result.threads) * result.per_thread) {
-    std::fprintf(stderr, "FAILED: sharded counter lost increments\n");
-    std::exit(1);
-  }
-  result.speedup = result.single_atomic_mops > 0
-                       ? result.sharded_mops / result.single_atomic_mops
-                       : 0;
-  return result;
-}
-
-void write_json(const char* path, const std::vector<PhaseRow>& rows,
-                const CounterBench& counters) {
+void write_json(const char* path, const std::vector<PhaseRow>& rows) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::perror("fopen");
@@ -270,15 +207,6 @@ void write_json(const char* path, const std::vector<PhaseRow>& rows,
   std::fprintf(f,
                "  \"transport\": \"tcp 127.0.0.1 (epoll event loop, "
                "TCP_NODELAY, SO_REUSEPORT at shards > 1)\",\n");
-  std::fprintf(f,
-               "  \"counter_contention\": {\"threads\": %d, \"cores\": %u, "
-               "\"increments_per_thread\": %llu, "
-               "\"single_atomic_mops\": %.1f, \"sharded_mops\": %.1f, "
-               "\"speedup\": %.2f},\n",
-               counters.threads, counters.cores,
-               static_cast<unsigned long long>(counters.per_thread),
-               counters.single_atomic_mops, counters.sharded_mops,
-               counters.speedup);
   std::fprintf(f, "  \"phases\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const PhaseRow& r = rows[i];
@@ -644,19 +572,7 @@ int main(int argc, char** argv) {
     if (run_shard_matrix(shards, modes, rows, next_seed) != 0) return 1;
   }
 
-  // Counter layout before/after (single shared atomic vs sharded cells).
-  const CounterBench counters = run_counter_bench();
-  std::printf("counter inc() contention, %d threads on %u core(s): "
-              "single-atomic %.1f Mops/s -> sharded %.1f Mops/s (%.2fx)\n",
-              counters.threads, counters.cores, counters.single_atomic_mops,
-              counters.sharded_mops, counters.speedup);
-  if (counters.cores < 2) {
-    std::printf("  (single-core host: the shared atomic cannot bounce "
-                "between caches, so only the sharded layout's per-inc "
-                "overhead is visible)\n");
-  }
-
-  write_json(out_path, rows, counters);
+  write_json(out_path, rows);
   std::printf("wrote %s\n", out_path);
   return 0;
 }

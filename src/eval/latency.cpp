@@ -27,11 +27,10 @@ LatencyResult run_latency_experiment(const LatencyConfig& config) {
     throw ProtocolError("latency experiment: warm-up failed");
   }
   bed.server().clear_latencies();
-  // Zero the metric values too, so the reported histograms cover exactly
-  // the measured trials. (The handshake histogram stays empty here by
-  // design: warm-up established the channels.)
+  // Zero the metric values and spans too, so the reported histograms and
+  // traces cover exactly the measured trials. (The handshake histogram
+  // stays empty here by design: warm-up established the channels.)
   bed.server().metrics().reset_values();
-  bed.server().metrics().clear_spans();
 
   for (int i = 0; i < config.trials; ++i) {
     const auto result = bed.get_password("Alice", "mail.google.com");

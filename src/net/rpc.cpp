@@ -9,14 +9,12 @@
 namespace amnesia::net {
 namespace {
 
-// Frame kinds, byte-identical to simnet::Node's RPC framing.
+// Frame kinds, the values simnet::Node's RPC framing uses too.
 constexpr std::uint8_t kRequest = 0;
 constexpr std::uint8_t kResponse = 1;
-// Traced variants: [trace_len:1][trace][body] after the correlation id.
-constexpr std::uint8_t kTracedRequest = 2;
-constexpr std::uint8_t kTracedResponse = 3;
 
-constexpr std::size_t kRpcHeaderSize = 1 + 8;
+// [kind:1][corr_id:8][trace_len:1]; the trace and the body follow.
+constexpr std::size_t kRpcHeaderSize = 1 + 8 + 1;
 
 std::uint64_t read_corr(ByteView frame) {
   std::uint64_t corr = 0;
@@ -30,18 +28,6 @@ std::uint64_t read_corr(ByteView frame) {
 std::string ambient_trace_header() {
   const obs::TraceContext ctx = obs::current_trace();
   return ctx.valid() ? obs::format_trace_header(ctx) : std::string();
-}
-
-/// Splits a traced body into its trace prefix and inner body. Returns
-/// false on torn metadata (the frame is hostile or corrupt).
-bool split_traced_body(ByteView body, std::string& trace, ByteView& inner) {
-  if (body.empty()) return false;
-  const std::size_t trace_len = body[0];
-  if (body.size() < 1 + trace_len) return false;
-  trace.assign(body.begin() + 1,
-               body.begin() + 1 + static_cast<std::ptrdiff_t>(trace_len));
-  inner = body.subspan(1 + trace_len);
-  return true;
 }
 
 }  // namespace
@@ -62,10 +48,11 @@ std::shared_ptr<RpcPeer> RpcPeer::attach(StreamPtr stream, Executor& executor) {
   return peer;
 }
 
-bool RpcPeer::send_frame(std::uint8_t kind, std::uint64_t corr, ByteView body) {
+bool RpcPeer::send_frame(std::uint8_t kind, std::uint64_t corr,
+                         std::string_view trace, ByteView body) {
   frame_scratch_.clear();
-  const std::uint32_t len =
-      static_cast<std::uint32_t>(kRpcHeaderSize + body.size());
+  const std::uint32_t len = static_cast<std::uint32_t>(
+      kRpcHeaderSize + trace.size() + body.size());
   frame_scratch_.reserve(4 + len);
   frame_scratch_.push_back(static_cast<std::uint8_t>(len));
   frame_scratch_.push_back(static_cast<std::uint8_t>(len >> 8));
@@ -75,20 +62,10 @@ bool RpcPeer::send_frame(std::uint8_t kind, std::uint64_t corr, ByteView body) {
   for (int i = 7; i >= 0; --i) {
     frame_scratch_.push_back(static_cast<std::uint8_t>(corr >> (8 * i)));
   }
+  frame_scratch_.push_back(static_cast<std::uint8_t>(trace.size()));
+  frame_scratch_.insert(frame_scratch_.end(), trace.begin(), trace.end());
   append(frame_scratch_, body);
   return stream_->send(frame_scratch_);
-}
-
-bool RpcPeer::send_traced_frame(std::uint8_t kind, std::uint64_t corr,
-                                const std::string& trace, ByteView body) {
-  Bytes traced;
-  traced.reserve(1 + trace.size() + body.size());
-  traced.push_back(static_cast<std::uint8_t>(trace.size()));
-  for (const char c : trace) {
-    traced.push_back(static_cast<std::uint8_t>(c));
-  }
-  append(traced, body);
-  return send_frame(kind, corr, traced);
 }
 
 void RpcPeer::request(Bytes body, ResponseHandler cb, Micros timeout_us,
@@ -101,10 +78,7 @@ void RpcPeer::request(Bytes body, ResponseHandler cb, Micros timeout_us,
   if (trace.size() > 255) trace.clear();  // cannot fit the u8 length prefix
   const std::uint64_t corr = next_corr_++;
   pending_[corr] = std::move(cb);
-  const bool sent =
-      trace.empty() ? send_frame(kRequest, corr, body)
-                    : send_traced_frame(kTracedRequest, corr, trace, body);
-  if (!sent) {
+  if (!send_frame(kRequest, corr, trace, body)) {
     // Backpressure overflow closed the stream; on_stream_close has already
     // failed every pending request (including this one).
     return;
@@ -130,53 +104,37 @@ void RpcPeer::on_data(ByteView chunk) {
 }
 
 void RpcPeer::on_frame(ByteView frame) {
-  if (frame.size() < kRpcHeaderSize) {
-    AMNESIA_ERROR("net.rpc") << "runt frame (" << frame.size()
+  // A runt header, or a trace running past the frame: the stream is corrupt.
+  if (frame.size() < kRpcHeaderSize ||
+      frame.size() < kRpcHeaderSize + frame[kRpcHeaderSize - 1]) {
+    AMNESIA_ERROR("net.rpc") << "torn frame (" << frame.size()
                              << " bytes); closing stream";
     close();
     return;
   }
   const std::uint8_t kind = frame[0];
   const std::uint64_t corr = read_corr(frame);
-  Bytes body(frame.begin() + kRpcHeaderSize, frame.end());
+  const ByteView trace =
+      frame.subspan(kRpcHeaderSize, frame[kRpcHeaderSize - 1]);
+  const ByteView body = frame.subspan(kRpcHeaderSize + trace.size());
 
-  if (kind == kResponse || kind == kTracedResponse) {
-    if (kind == kTracedResponse) {
-      std::string trace;
-      ByteView inner;
-      if (!split_traced_body(body, trace, inner)) {
-        AMNESIA_ERROR("net.rpc") << "torn traced response; closing stream";
-        close();
-        return;
-      }
-      body.assign(inner.begin(), inner.end());
-    }
+  if (kind == kResponse) {
     auto it = pending_.find(corr);
     if (it == pending_.end()) return;  // late response after timeout
     ResponseHandler cb = std::move(it->second);
     pending_.erase(it);
-    cb(Result<Bytes>(std::move(body)));
+    cb(Result<Bytes>(Bytes(body.begin(), body.end())));
     return;
   }
-  if (kind == kRequest || kind == kTracedRequest) {
-    // Traced requests carry context as frame metadata: an unparseable
-    // context is dropped (fresh roots downstream, nothing echoed), but a
-    // torn length prefix means the stream itself is corrupt.
+  if (kind == kRequest) {
+    // An unparseable context is dropped: the handler starts fresh roots
+    // and the response carries no trace, so nothing hostile is echoed.
     obs::TraceContext remote;
     std::string canonical_trace;
-    if (kind == kTracedRequest) {
-      std::string trace;
-      ByteView inner;
-      if (!split_traced_body(body, trace, inner)) {
-        AMNESIA_ERROR("net.rpc") << "torn traced request; closing stream";
-        close();
-        return;
-      }
-      if (const auto parsed = obs::parse_trace_header(trace)) {
-        remote = *parsed;
-        canonical_trace = obs::format_trace_header(remote);
-      }
-      body.assign(inner.begin(), inner.end());
+    if (const auto parsed = obs::parse_trace_header(std::string_view(
+            reinterpret_cast<const char*>(trace.data()), trace.size()))) {
+      remote = *parsed;
+      canonical_trace = obs::format_trace_header(remote);
     }
     if (!handler_) {
       AMNESIA_ERROR("net.rpc") << "request with no handler installed; dropping";
@@ -186,15 +144,10 @@ void RpcPeer::on_frame(ByteView frame) {
     auto respond = [weak, corr, canonical_trace](Bytes response) {
       auto self = weak.lock();
       if (!self || self->closed_) return;  // connection died while serving
-      if (canonical_trace.empty()) {
-        self->send_frame(kResponse, corr, response);
-      } else {
-        self->send_traced_frame(kTracedResponse, corr, canonical_trace,
-                                response);
-      }
+      self->send_frame(kResponse, corr, canonical_trace, response);
     };
     const obs::ScopedTrace scope(remote);
-    handler_(body, std::move(respond));
+    handler_(Bytes(body.begin(), body.end()), std::move(respond));
     return;
   }
   AMNESIA_ERROR("net.rpc") << "unknown frame kind " << static_cast<int>(kind)

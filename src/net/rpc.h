@@ -1,18 +1,16 @@
 // Request/response RPC over a ByteStream.
 //
-// Frame payloads deliberately mirror simnet::Node's wire framing —
-// [kind:1][corr_id:8 big-endian][body] — so a framed stream is a drop-in
-// replacement for a Node RPC pipe: the body bytes (securechan envelopes,
-// serialized HTTP) are identical over either backend. Correlation ids let
+// Each frame payload is [kind:1][corr_id:8 big-endian][trace_len:1][trace]
+// [body], with kind 0 = request and 1 = response. Correlation ids let
 // one connection carry pipelined requests whose responses complete out of
 // order (the Amnesia server answers a password request only after the
 // phone round-trip, while later requests on the same connection finish
-// immediately).
-//
-// Traced variants (kinds 2/3) carry a serialized obs::TraceContext as
-// frame metadata between corr_id and body —
-// [kind:1][corr_id:8][trace_len:1][trace][body] — used automatically when
-// the sender has an ambient trace; untraced peers keep the legacy kinds.
+// immediately). The trace is the sender's serialized obs::TraceContext,
+// empty when none is ambient; a request's context becomes the handler's
+// ambient trace, and its response carries the canonical re-serialization
+// (or nothing, when the inbound bytes did not parse). The body bytes
+// (securechan envelopes, serialized HTTP) are the ones a simnet::Node RPC
+// pipe carries, so either backend serves the same protocol.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "common/bytes.h"
@@ -61,10 +60,9 @@ class RpcPeer : public std::enable_shared_from_this<RpcPeer> {
   void set_on_close(std::function<void()> fn) { on_close_ = std::move(fn); }
 
   /// Issues one request; `cb` gets the response body, or kUnavailable on
-  /// timeout / close. `trace` is a serialized obs::TraceContext rides in
-  /// the frame metadata (empty = capture the ambient context, which is
-  /// also the default when no trace is active: the frame then stays in
-  /// the untraced legacy format).
+  /// timeout / close. `trace` is a serialized obs::TraceContext for the
+  /// frame metadata (empty = capture the ambient context; the frame's
+  /// trace stays empty when none is active).
   void request(Bytes body, ResponseHandler cb,
                Micros timeout_us = kDefaultRpcTimeoutUs,
                std::string trace = {});
@@ -82,9 +80,8 @@ class RpcPeer : public std::enable_shared_from_this<RpcPeer> {
   void on_frame(ByteView frame);
   void on_stream_close();
   void fail_pending(const std::string& reason);
-  bool send_frame(std::uint8_t kind, std::uint64_t corr, ByteView body);
-  bool send_traced_frame(std::uint8_t kind, std::uint64_t corr,
-                         const std::string& trace, ByteView body);
+  bool send_frame(std::uint8_t kind, std::uint64_t corr,
+                  std::string_view trace, ByteView body);
 
   StreamPtr stream_;
   Executor& executor_;

@@ -4,22 +4,10 @@
 #include <cctype>
 #include <cmath>
 #include <sstream>
-#include <thread>
 
 #include "common/error.h"
 
 namespace amnesia::obs {
-
-// --------------------------------------------------------------- counter
-
-std::size_t assign_counter_cell() {
-  // Round-robin assignment instead of a thread-id hash: the first kCells
-  // threads are guaranteed pairwise-distinct cells, where a hash can
-  // collide two hot threads into one cell and reintroduce the ping-pong
-  // this sharding exists to remove.
-  static std::atomic<std::size_t> next_cell{0};
-  return next_cell.fetch_add(1, std::memory_order_relaxed) % Counter::kCells;
-}
 
 // ------------------------------------------------------------- histogram
 
@@ -161,55 +149,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
   return *slot;
-}
-
-namespace {
-
-SpanRecord to_record(const TraceSpan& span) {
-  SpanRecord rec;
-  rec.id = span.id;
-  rec.parent = span.parent;
-  rec.name = span.name;
-  rec.start = span.start;
-  rec.end = span.end;
-  rec.finished = span.finished;
-  return rec;
-}
-
-}  // namespace
-
-SpanId MetricsRegistry::begin_span(const std::string& name, SpanId parent) {
-  check_name(name);
-  return tracer_.start_legacy_span(name, "", parent).span_id;
-}
-
-void MetricsRegistry::end_span(SpanId id) { tracer_.end_span_id(id); }
-
-std::vector<SpanRecord> MetricsRegistry::spans() const {
-  std::vector<SpanRecord> out;
-  for (const TraceSpan& span : tracer_.snapshot()) {
-    out.push_back(to_record(span));
-  }
-  return out;
-}
-
-std::vector<SpanRecord> MetricsRegistry::spans_named(
-    const std::string& name) const {
-  std::vector<SpanRecord> out;
-  for (const TraceSpan& span : tracer_.snapshot()) {
-    if (span.name == name) out.push_back(to_record(span));
-  }
-  return out;
-}
-
-std::vector<SpanRecord> MetricsRegistry::children_of(SpanId parent) const {
-  std::vector<SpanRecord> out;
-  for (const TraceSpan& span : tracer_.snapshot()) {
-    if (span.parent == parent && span.finished) {
-      out.push_back(to_record(span));
-    }
-  }
-  return out;
 }
 
 Snapshot MetricsRegistry::snapshot() const {

@@ -14,9 +14,9 @@
 //              from bucket boundaries and clamped to the observed
 //              [min, max], so for any recorded sample set
 //              p50 <= p95 <= p99 <= max holds exactly;
-//   Span       one traced interval with a parent id, used to decompose a
-//              bilateral round (browser -> server -> rendezvous -> phone
-//              -> server -> browser) into its phases.
+//   Tracer     (obs/trace.h, one per registry) records the spans that
+//              decompose a bilateral round (browser -> server ->
+//              rendezvous -> phone -> server -> browser) into its phases.
 //
 // All timing comes from an injected Clock — under simnet::Simulation that
 // is virtual time, so two runs with the same seed export byte-identical
@@ -46,51 +46,16 @@ namespace amnesia::obs {
 // registry's name->handle maps take a mutex instead: multi-word updates
 // have no cheap atomic form and neither is on a per-byte hot path.
 
-/// Assigns the calling thread its counter cell (round-robin over kCells;
-/// the first kCells threads are guaranteed pairwise-distinct cells).
-/// Out-of-line cold path of counter_cell_index() below.
-std::size_t assign_counter_cell();
-
-/// This thread's cell index, cached in a trivially-initialized
-/// thread_local so the hot path is one TLS load and one predictable
-/// branch — no per-increment hashing, no TLS init guard (a
-/// function-local `thread_local const` would re-check its guard byte on
-/// every inc()).
-inline std::size_t counter_cell_index() {
-  constexpr std::size_t kUnassigned = ~std::size_t{0};
-  thread_local std::size_t cell = kUnassigned;
-  if (cell == kUnassigned) cell = assign_counter_cell();
-  return cell;
-}
-
-/// Monotonic counter, sharded into cache-line-sized per-thread cells so
-/// the net.* / securechan.* hot paths (event-loop thread + workers all
-/// bumping the same handle) never bounce one cache line between cores.
-/// inc() touches exactly one cell; value() folds all cells, so a reading
-/// racing writers may miss in-flight increments — same relaxed semantics
-/// as the single-atomic version, just without the contention.
 class Counter {
  public:
-  static constexpr std::size_t kCells = 8;
-
   void inc(std::uint64_t n = 1) {
-    cells_[counter_cell_index()].v.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-    return total;
-  }
-  void reset() {
-    for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
-  }
+  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-
-  Cell cells_[kCells];
+  std::atomic<std::uint64_t> value_{0};
 };
 
 class Gauge {
@@ -185,23 +150,9 @@ class Histogram {
   HistogramSnapshot data_;
 };
 
-// SpanId comes from obs/trace.h; the registry's legacy span API below is
-// a shim over the Tracer in the same file.
-
-/// One traced interval. `parent` is 0 for root spans. `end` is meaningful
-/// only once `finished` is true.
-struct SpanRecord {
-  SpanId id = 0;
-  SpanId parent = 0;
-  std::string name;
-  Micros start = 0;
-  Micros end = 0;
-  bool finished = false;
-};
-
 /// A full, comparable export of the registry's metric state. Spans are
 /// kept out of the snapshot: they are a trace, not a metric, and are read
-/// through MetricsRegistry::spans().
+/// through MetricsRegistry::tracer().
 struct Snapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
@@ -232,9 +183,9 @@ Snapshot parse_text(const std::string& text);
 /// the BENCH_*.json-compatible shape benches embed in their artifacts.
 std::string to_json(const Snapshot& snapshot);
 
-/// Named-metric registry plus span log. Handles returned by counter() /
-/// gauge() / histogram() are stable for the registry's lifetime, so hot
-/// paths resolve the name once and keep the pointer.
+/// Named-metric registry plus its tracer and event log. Handles returned
+/// by counter() / gauge() / histogram() are stable for the registry's
+/// lifetime, so hot paths resolve the name once and keep the pointer.
 class MetricsRegistry {
  public:
   /// `clock` drives span and ScopedTimer timestamps; it may be null when
@@ -252,8 +203,7 @@ class MetricsRegistry {
   }
   Micros now() const { return clock_ ? clock_->now_us() : 0; }
 
-  /// The distributed tracer sharing this registry's clock. New code uses
-  /// it directly; the begin_span/end_span API below shims onto it.
+  /// The distributed tracer sharing this registry's clock.
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
@@ -271,27 +221,12 @@ class MetricsRegistry {
   /// histogram already exists (first registration wins).
   Histogram& histogram(const std::string& name, std::vector<Micros> bounds);
 
-  // -- spans (legacy shim over tracer()) -------------------------------
-  /// Starts a span at the current clock time. parent = 0 means root.
-  SpanId begin_span(const std::string& name, SpanId parent = 0);
-  /// Finishes a span at the current clock time. Unknown/already-finished
-  /// ids are ignored (a timed-out round may race its own cleanup).
-  void end_span(SpanId id);
-  /// The span log in creation order (a merged copy of the tracer's
-  /// bounded store; the old always-growing vector is gone).
-  std::vector<SpanRecord> spans() const;
-  /// All spans with this name, in start order.
-  std::vector<SpanRecord> spans_named(const std::string& name) const;
-  /// Finished direct children of `parent`, in start order.
-  std::vector<SpanRecord> children_of(SpanId parent) const;
-  void clear_spans() { tracer_.clear(); }
-
   /// Comparable export of all counters/gauges/histograms.
   Snapshot snapshot() const;
 
-  /// Zeroes every metric value and drops all spans, keeping the metric
-  /// objects (and any held handles) alive. Used to discard warm-up
-  /// traffic before a measured experiment.
+  /// Zeroes every metric value and clears the tracer and the event log,
+  /// keeping the metric objects (and any held handles) alive. Used to
+  /// discard warm-up traffic before a measured experiment.
   void reset_values();
 
  private:

@@ -131,22 +131,6 @@ TraceContext Tracer::start_trace(std::string name, std::string component) {
                    /*parent=*/0, sample_trace(trace_id));
 }
 
-TraceContext Tracer::start_legacy_span(std::string name,
-                                       std::string component, SpanId parent) {
-  TraceId trace_id;
-  if (parent != 0) {
-    std::lock_guard<std::mutex> lock(open_mu_);
-    auto it = open_.find(parent);
-    if (it != open_.end()) trace_id = it->second.trace_id;
-  }
-  if (!trace_id.valid()) {
-    trace_id.hi = 0x616d6e6573696131ull;
-    trace_id.lo = next_id();
-  }
-  return open_span(std::move(name), std::move(component), trace_id, parent,
-                   /*sampled=*/true);
-}
-
 TraceContext Tracer::start_span(std::string name, std::string component,
                                 const TraceContext& parent) {
   if (!parent.valid()) {
@@ -210,13 +194,13 @@ void Tracer::add_event(const TraceContext& ctx, std::string message) {
   it->second.events.push_back({at, std::move(message)});
 }
 
-void Tracer::end_span_id(SpanId id) {
-  if (id == 0) return;
+void Tracer::end(const TraceContext& ctx) {
+  if (ctx.span_id == 0) return;
   const Micros at = now();
   TraceSpan span;
   {
     std::lock_guard<std::mutex> lock(open_mu_);
-    auto it = open_.find(id);
+    auto it = open_.find(ctx.span_id);
     if (it == open_.end()) return;  // unknown or already ended: no-op
     span = std::move(it->second);
     open_.erase(it);
@@ -414,9 +398,18 @@ std::uint64_t EventLog::dropped() const {
 
 // -------------------------------------------------- trace-tree analysis
 
+namespace {
+
+// trace_to_json's frame; each span inside it is led by "\n  ", and every
+// span after the first by ",\n  ".
+constexpr std::string_view kTraceJsonOpen = "{\"spans\": [";
+constexpr std::string_view kTraceJsonClose = "\n]}\n";
+
+}  // namespace
+
 std::string trace_to_json(const std::vector<TraceSpan>& spans) {
   std::ostringstream out;
-  out << "{\"spans\": [";
+  out << kTraceJsonOpen;
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const TraceSpan& s = spans[i];
     out << (i ? ",\n  " : "\n  ");
@@ -449,8 +442,27 @@ std::string trace_to_json(const std::vector<TraceSpan>& spans) {
     }
     out << '}';
   }
-  out << "\n]}\n";
+  out << kTraceJsonClose;
   return out.str();
+}
+
+std::string merge_trace_json(const std::vector<std::string>& docs) {
+  constexpr std::size_t kFrameLen =
+      kTraceJsonOpen.size() + kTraceJsonClose.size();
+  std::string out(kTraceJsonOpen);
+  bool first = true;
+  for (const std::string_view doc : docs) {
+    // Only a trace_to_json document with at least one span contributes.
+    if (doc.size() <= kFrameLen || !doc.starts_with(kTraceJsonOpen) ||
+        !doc.ends_with(kTraceJsonClose)) {
+      continue;
+    }
+    if (!first) out += ',';
+    out += doc.substr(kTraceJsonOpen.size(), doc.size() - kFrameLen);
+    first = false;
+  }
+  out += kTraceJsonClose;
+  return out;
 }
 
 std::vector<CriticalPathEntry> critical_path(

@@ -143,14 +143,7 @@ class Tracer {
   void add_event(const TraceContext& ctx, std::string message);
   /// Ends the span of `ctx` at the current clock time. Unknown, already
   /// finished, and unsampled contexts are no-ops.
-  void end(const TraceContext& ctx) { end_span_id(ctx.span_id); }
-  /// Legacy-id variant used by the MetricsRegistry span shim.
-  void end_span_id(SpanId id);
-  /// Legacy shim: starts a span under an explicit parent id (0 = root),
-  /// inheriting the parent's trace when it is still open and always
-  /// recording (the legacy API predates sampling).
-  TraceContext start_legacy_span(std::string name, std::string component,
-                                 SpanId parent);
+  void end(const TraceContext& ctx);
 
   /// All recorded spans (completed rings merged with still-open spans),
   /// sorted by (start, id) — i.e. creation order under one clock.
@@ -317,6 +310,12 @@ class EventLog {
 /// JSON export of one trace (array of span objects, creation order) —
 /// the GET /trace/<id> body and the bench artifact shape.
 std::string trace_to_json(const std::vector<TraceSpan>& spans);
+
+/// Splices several trace_to_json documents into one: the result equals
+/// trace_to_json of their spans concatenated in order. Empty strings (and
+/// anything else that is not such a document) contribute nothing — the
+/// shard router's aggregate GET /trace/<id>.
+std::string merge_trace_json(const std::vector<std::string>& docs);
 
 /// Per-span-name critical-path attribution over one or more trace trees:
 /// `self_us` is span duration minus the union of its children's

@@ -1,16 +1,82 @@
 #include "server/shard.h"
 
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/error.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "resilience/fault.h"
 
 namespace amnesia::server {
 
 using websvc::Method;
 using websvc::Request;
 using websvc::Response;
+
+namespace {
+
+Response concatenated(const std::vector<std::string>& parts) {
+  std::string body;
+  for (const std::string& part : parts) body += part;
+  return Response::ok_text(std::move(body));
+}
+
+/// An endpoint every shard serves for its own slice of the state.
+struct Aggregate {
+  Method method;
+  std::string_view path;  // ending in '/': matches any path below it
+  Response (*merge)(const std::vector<std::string>& parts);
+};
+
+// The aggregate endpoints, listed once: route_target() and handle() both
+// read this table.
+const Aggregate kAggregates[] = {
+    {Method::kGet, "/metrics",
+     [](const std::vector<std::string>& parts) {
+       obs::Snapshot merged;
+       for (const std::string& part : parts) {
+         if (!part.empty()) obs::merge_snapshot(merged, obs::parse_text(part));
+       }
+       return Response::ok_text(obs::to_text(merged));
+     }},
+    {Method::kGet, "/trace/",
+     [](const std::vector<std::string>& parts) {
+       for (const std::string& part : parts) {
+         if (!part.empty()) {
+           return Response::ok_text(obs::merge_trace_json(parts));
+         }
+       }
+       return Response::error(404, "unknown trace");
+     }},
+    {Method::kGet, "/events", concatenated},
+    // Each shard's /profile keeps only its own reactor thread's samples,
+    // so summing the legs never double-counts one.
+    {Method::kGet, "/profile",
+     [](const std::vector<std::string>& parts) {
+       return Response::ok_text(obs::merge_collapsed(parts));
+     }},
+    {Method::kGet, "/slowlog", concatenated},
+    // Parked payloads stay until TTL and the phone dedups by request id,
+    // so concatenation (even with a leg missing) keeps the at-least-once
+    // contract.
+    {Method::kPost, "/push/poll", concatenated},
+};
+
+const Aggregate* find_aggregate(const Request& req) {
+  for (const Aggregate& agg : kAggregates) {
+    if (req.method != agg.method) continue;
+    if (agg.path.ends_with('/') ? req.path.starts_with(agg.path)
+                                : req.path == agg.path) {
+      return &agg;
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 std::size_t shard_of_user(const std::string& user, std::size_t shard_count) {
   // FNV-1a 64: tiny, dependency-free, and stable — the same user must
@@ -86,12 +152,7 @@ std::optional<std::size_t> ShardRouter::route_target(const Request& req,
                                                      std::size_t origin) const {
   const std::size_t n = shards_.size();
   const std::string& path = req.path;
-  if (req.method == Method::kGet &&
-      (path == "/metrics" || path == "/events" || path == "/profile" ||
-       path == "/slowlog" || path.starts_with("/trace/"))) {
-    return std::nullopt;  // aggregate: no single owner
-  }
-  if (path == "/push/poll") return std::nullopt;  // scatter: every shard
+  if (find_aggregate(req)) return std::nullopt;  // every shard answers
   if (path == "/signup" || path == "/login" || path == "/pair/complete" ||
       path == "/recover/mp/confirm") {
     const auto form = req.form();
@@ -130,28 +191,8 @@ void ShardRouter::handle(std::size_t origin, const Bytes& plain,
     shards_[origin].server->http().handle_bytes(plain, std::move(respond));
     return;
   }
-  if (req.method == Method::kGet && req.path == "/metrics") {
-    aggregate_metrics(origin, std::move(respond));
-    return;
-  }
-  if (req.method == Method::kGet && req.path == "/events") {
-    aggregate_events(origin, plain, std::move(respond));
-    return;
-  }
-  if (req.method == Method::kGet && req.path == "/profile") {
-    aggregate_profile(origin, plain, std::move(respond));
-    return;
-  }
-  if (req.method == Method::kGet && req.path == "/slowlog") {
-    aggregate_slowlog(origin, plain, std::move(respond));
-    return;
-  }
-  if (req.method == Method::kGet && req.path.starts_with("/trace/")) {
-    aggregate_trace(origin, req.path.substr(7), std::move(respond));
-    return;
-  }
-  if (req.path == "/push/poll") {
-    scatter_poll(origin, plain, std::move(respond));
+  if (const Aggregate* agg = find_aggregate(req)) {
+    scatter(origin, plain, agg->merge, std::move(respond));
     return;
   }
   const auto target = route_target(req, origin);
@@ -205,162 +246,72 @@ void ShardRouter::forward(std::size_t origin, std::size_t target,
   });
 }
 
-void ShardRouter::scatter_poll(std::size_t origin, const Bytes& plain,
-                               std::function<void(Bytes)> respond) {
+void ShardRouter::scatter(std::size_t origin, const Bytes& plain, Merge merge,
+                          std::function<void(Bytes)> respond) {
   counters_[origin].scatter_ops->inc();
+  struct State {
+    std::vector<Bytes> legs;  // raw responses; a lost leg stays empty
+    std::size_t remaining;
+    Merge merge;
+    std::function<void(Bytes)> respond;
+  };
+  auto state = std::make_shared<State>(
+      State{std::vector<Bytes>(shards_.size()), shards_.size(), merge,
+            std::move(respond)});
+  // Runs on the origin thread; lands leg k and answers after the last.
+  auto land = [state](std::size_t k, Bytes leg) {
+    state->legs[k] = std::move(leg);
+    if (--state->remaining > 0) return;
+    std::vector<std::string> parts;
+    parts.reserve(state->legs.size());
+    for (const Bytes& raw : state->legs) {
+      Response leg_resp;
+      try {
+        leg_resp = websvc::parse_response(raw);
+      } catch (const FormatError&) {
+        parts.emplace_back();  // lost in the mailbox (no bytes): empty part
+        continue;
+      }
+      if (leg_resp.status == 400) {
+        // Every shard parses the request alike: one 400 speaks for all.
+        state->respond(raw);
+        return;
+      }
+      parts.push_back(leg_resp.status == 200 ? std::move(leg_resp.body)
+                                             : std::string());
+    }
+    state->respond(websvc::serialize(state->merge(parts)));
+  };
   // Every leg needs the request bytes on its own thread; one shared copy.
   auto wire = std::make_shared<const Bytes>(plain);
-  gather<std::string>(
-      origin,
-      [wire](std::size_t, AmnesiaServer& server,
-             std::function<void(std::string)> deliver) {
-        server.http().handle_bytes(*wire, [deliver](Bytes raw) {
-          try {
-            const Response resp = websvc::parse_response(raw);
-            deliver(resp.status == 200 ? resp.body : std::string());
-          } catch (const FormatError&) {
-            deliver("");
-          }
-        });
-      },
-      [respond = std::move(respond)](std::vector<std::string> parts) {
-        // Parked payloads stay until TTL and the phone dedups by request
-        // id, so concatenation (even with a faulted leg missing) keeps
-        // the at-least-once contract.
-        std::string body;
-        for (const std::string& part : parts) body += part;
-        respond(websvc::serialize(Response::ok_text(std::move(body))));
-      });
-}
-
-void ShardRouter::aggregate_metrics(std::size_t origin,
-                                    std::function<void(Bytes)> respond) {
-  counters_[origin].scatter_ops->inc();
-  gather<std::string>(
-      origin,
-      [](std::size_t, AmnesiaServer& server,
-         std::function<void(std::string)> deliver) {
-        deliver(obs::to_text(server.metrics().snapshot()));
-      },
-      [respond = std::move(respond)](std::vector<std::string> parts) {
-        obs::Snapshot merged;
-        for (const std::string& part : parts) {
-          if (part.empty()) continue;  // faulted leg
-          obs::merge_snapshot(merged, obs::parse_text(part));
-        }
-        respond(websvc::serialize(Response::ok_text(obs::to_text(merged))));
-      });
-}
-
-void ShardRouter::aggregate_trace(std::size_t origin, const std::string& id_hex,
-                                  std::function<void(Bytes)> respond) {
-  const auto id = obs::parse_trace_id_hex(id_hex);
-  if (!id) {
-    respond(websvc::serialize(Response::error(400, "malformed trace id")));
-    return;
+  net::Executor* origin_exec = shards_[origin].exec;
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    if (k == origin) {
+      shards_[k].server->http().handle_bytes(
+          *wire, [land, k](Bytes raw) { land(k, std::move(raw)); });
+      continue;
+    }
+    if (resilience::fault_check("shard.mailbox.forward")) {
+      counters_[origin].mailbox_dropped->inc();
+      land(k, Bytes{});
+      continue;
+    }
+    shards_[k].exec->post([this, k, origin_exec, wire, land] {
+      NetGateway* gw = shards_[k].gateway;
+      if (gw) gw->pump();
+      shards_[k].server->http().handle_bytes(
+          *wire, [this, k, origin_exec, land](Bytes raw) {
+            if (resilience::fault_check("shard.mailbox.reply")) {
+              counters_[k].mailbox_dropped->inc();
+              raw.clear();
+            }
+            origin_exec->post([land, k, raw = std::move(raw)]() mutable {
+              land(k, std::move(raw));
+            });
+          });
+      if (gw) gw->pump();
+    });
   }
-  counters_[origin].scatter_ops->inc();
-  gather<std::vector<obs::TraceSpan>>(
-      origin,
-      [id](std::size_t, AmnesiaServer& server,
-           std::function<void(std::vector<obs::TraceSpan>)> deliver) {
-        deliver(server.metrics().tracer().trace(*id));
-      },
-      [respond = std::move(respond)](
-          std::vector<std::vector<obs::TraceSpan>> parts) {
-        std::vector<obs::TraceSpan> spans;
-        for (auto& part : parts) {
-          spans.insert(spans.end(), part.begin(), part.end());
-        }
-        if (spans.empty()) {
-          respond(websvc::serialize(Response::error(404, "unknown trace")));
-          return;
-        }
-        respond(websvc::serialize(
-            Response::ok_text(obs::trace_to_json(spans))));
-      });
-}
-
-void ShardRouter::aggregate_responses(
-    std::size_t origin, const Bytes& plain,
-    std::function<void(std::vector<Response>)> finish) {
-  counters_[origin].scatter_ops->inc();
-  // Replay the raw bytes on every shard so each leg's route parses the
-  // query string itself — the router stays ignorant of filter syntax.
-  auto wire = std::make_shared<const Bytes>(plain);
-  gather<Response>(
-      origin,
-      [wire](std::size_t, AmnesiaServer& server,
-             std::function<void(Response)> deliver) {
-        server.http().handle_bytes(*wire, [deliver](Bytes raw) {
-          try {
-            deliver(websvc::parse_response(raw));
-          } catch (const FormatError&) {
-            deliver(Response{});  // counts as an empty-bodied leg
-          }
-        });
-      },
-      std::move(finish));
-}
-
-/// First non-200 leg (a shard's route rejected the query — e.g. malformed
-/// ?level= or ?since=); every shard parses identically, so one veto
-/// speaks for all. Faulted legs deliver a default 200/empty and pass.
-static const Response* first_rejection(const std::vector<Response>& parts) {
-  for (const Response& part : parts) {
-    if (part.status != 200) return &part;
-  }
-  return nullptr;
-}
-
-void ShardRouter::aggregate_events(std::size_t origin, const Bytes& plain,
-                                   std::function<void(Bytes)> respond) {
-  aggregate_responses(
-      origin, plain,
-      [respond = std::move(respond)](std::vector<Response> parts) {
-        if (const Response* err = first_rejection(parts)) {
-          respond(websvc::serialize(*err));
-          return;
-        }
-        std::string lines;
-        for (const Response& part : parts) lines += part.body;
-        respond(websvc::serialize(Response::ok_text(std::move(lines))));
-      });
-}
-
-void ShardRouter::aggregate_profile(std::size_t origin, const Bytes& plain,
-                                    std::function<void(Bytes)> respond) {
-  aggregate_responses(
-      origin, plain,
-      [respond = std::move(respond)](std::vector<Response> parts) {
-        if (const Response* err = first_rejection(parts)) {
-          respond(websvc::serialize(*err));
-          return;
-        }
-        // Each shard's /profile filters the process-wide sample stream to
-        // its own reactor thread, so summing collapsed stacks across legs
-        // never double-counts a sample.
-        std::vector<std::string> texts;
-        texts.reserve(parts.size());
-        for (const Response& part : parts) texts.push_back(part.body);
-        respond(websvc::serialize(
-            Response::ok_text(obs::merge_collapsed(texts))));
-      });
-}
-
-void ShardRouter::aggregate_slowlog(std::size_t origin, const Bytes& plain,
-                                    std::function<void(Bytes)> respond) {
-  aggregate_responses(
-      origin, plain,
-      [respond = std::move(respond)](std::vector<Response> parts) {
-        if (const Response* err = first_rejection(parts)) {
-          respond(websvc::serialize(*err));
-          return;
-        }
-        std::string lines;
-        for (const Response& part : parts) lines += part.body;
-        respond(websvc::serialize(Response::ok_text(std::move(lines))));
-      });
 }
 
 }  // namespace amnesia::server

@@ -19,13 +19,25 @@
 //                      from the id itself (shard k issues k+1, k+1+N, ...)
 //   session cookie     every authenticated route -> the shard tag minted
 //                      into the token ("s2.<hex>")
-//   /push/poll         scatter-gather to every shard (the registration id
-//                      is an opaque bearer token; its parked payloads live
-//                      wherever the owning user does)
-//   GET /metrics /trace/<id> /events /profile /slowlog
-//                      scatter-gather + merge, so operators see one
-//                      logical server; query strings (?level= ?since=
-//                      ?ms=) ride along to every leg unchanged
+//   aggregates         replayed on every shard, and the legs' bodies
+//                      merged into one answer (table in shard.cpp):
+//                        GET  /metrics     obs::merge_snapshot of the texts
+//                        GET  /trace/<id>  obs::merge_trace_json
+//                        GET  /events      JSON lines, concatenated
+//                        GET  /profile     obs::merge_collapsed
+//                        GET  /slowlog     JSON lines, concatenated
+//                        POST /push/poll   payloads, concatenated (the
+//                                          registration id is an opaque
+//                                          bearer token; its parked
+//                                          payloads live wherever the
+//                                          owning user does)
+//
+// Each leg replays the request bytes through that shard's own route, so
+// query strings (?level= ?since= ?ms=) and forms are parsed there. One
+// status rule folds the legs: a 400 from any leg answers for all (every
+// shard parses the request alike); any other non-200 leg — shed, no such
+// trace, or lost in the mailbox — is an empty part. /trace/<id> answers
+// 404 when every part is empty.
 //
 // Anything unroutable (malformed request, missing field, untagged cookie)
 // is handled locally — the shard that accepted the connection produces
@@ -34,8 +46,8 @@
 // Mailbox fault points (docs/RESILIENCE.md): `shard.mailbox.forward` on
 // the request leg (kError -> 503 to the client, kDrop -> silent loss) and
 // `shard.mailbox.reply` on the response leg (any fault -> the reply is
-// lost; for scatter-gather legs the aggregate degrades to a partial
-// response rather than hanging). Clients already retry on both.
+// lost; an aggregate leg becomes an empty part, so the answer degrades
+// rather than hangs). Clients already retry on both.
 //
 // N == 1 installs nothing: the stock SecureServer -> HttpServer wiring is
 // untouched and behaviour stays bit-identical to the unsharded server.
@@ -44,15 +56,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "net/executor.h"
-#include "resilience/fault.h"
 #include "server/gateway.h"
 #include "server/server_app.h"
 #include "websvc/http.h"
@@ -103,7 +112,7 @@ class ShardRouter {
   std::size_t size() const { return shards_.size(); }
 
   /// Routing decision for one parsed request arriving on `origin`
-  /// (exposed for tests; scatter/aggregate paths return nullopt).
+  /// (exposed for tests; aggregate endpoints return nullopt).
   std::optional<std::size_t> route_target(const websvc::Request& req,
                                           std::size_t origin) const;
 
@@ -114,83 +123,17 @@ class ShardRouter {
     obs::Counter* scatter_ops = nullptr;
     obs::Counter* mailbox_dropped = nullptr;
   };
+  /// Folds the legs' 200 bodies (shard order; "" for an empty part).
+  using Merge = websvc::Response (*)(const std::vector<std::string>& parts);
 
   void handle(std::size_t origin, const Bytes& plain,
               std::function<void(Bytes)> respond);
   void forward(std::size_t origin, std::size_t target, const Bytes& plain,
                std::function<void(Bytes)> respond);
-  void scatter_poll(std::size_t origin, const Bytes& plain,
-                    std::function<void(Bytes)> respond);
-  void aggregate_metrics(std::size_t origin, std::function<void(Bytes)> respond);
-  void aggregate_trace(std::size_t origin, const std::string& id_hex,
-                       std::function<void(Bytes)> respond);
-  /// Replays the raw request on every shard (query string and all) and
-  /// hands the parsed per-shard responses to `finish` on the origin
-  /// thread. Shared leg-work for /events, /profile, and /slowlog, whose
-  /// filters (?level= ?since= ?ms=) are parsed by each shard's own route.
-  void aggregate_responses(
-      std::size_t origin, const Bytes& plain,
-      std::function<void(std::vector<websvc::Response>)> finish);
-  void aggregate_events(std::size_t origin, const Bytes& plain,
-                        std::function<void(Bytes)> respond);
-  void aggregate_profile(std::size_t origin, const Bytes& plain,
-                         std::function<void(Bytes)> respond);
-  void aggregate_slowlog(std::size_t origin, const Bytes& plain,
-                         std::function<void(Bytes)> respond);
-
-  /// Scatter-gather skeleton. `collect` runs on each shard's own thread
-  /// and eventually delivers that shard's part; `finish` runs on the
-  /// origin thread once every part arrived (faulted legs deliver an
-  /// empty/default part — the aggregate degrades, it never hangs).
-  template <typename T>
-  void gather(
-      std::size_t origin,
-      std::function<void(std::size_t shard, AmnesiaServer& server,
-                         std::function<void(T)> deliver)> collect,
-      std::function<void(std::vector<T>)> finish) {
-    struct State {
-      std::vector<T> parts;
-      std::size_t remaining;
-      std::function<void(std::vector<T>)> finish;
-    };
-    auto state = std::make_shared<State>();
-    state->parts.resize(shards_.size());
-    state->remaining = shards_.size();
-    state->finish = std::move(finish);
-    net::Executor* origin_exec = shards_[origin].exec;
-    // Runs on the origin thread; lands part k and fires finish on the last.
-    auto land = [state](std::size_t k, T part) {
-      state->parts[k] = std::move(part);
-      if (--state->remaining == 0) state->finish(std::move(state->parts));
-    };
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      if (k == origin) {
-        collect(k, *shards_[k].server,
-                [land, k](T part) { land(k, std::move(part)); });
-        continue;
-      }
-      if (resilience::fault_check("shard.mailbox.forward")) {
-        counters_[origin].mailbox_dropped->inc();
-        land(k, T{});
-        continue;
-      }
-      shards_[k].exec->post([this, k, origin_exec, state, land, collect] {
-        NetGateway* gw = shards_[k].gateway;
-        if (gw) gw->pump();
-        collect(k, *shards_[k].server,
-                [this, k, origin_exec, land](T part) {
-                  if (resilience::fault_check("shard.mailbox.reply")) {
-                    counters_[k].mailbox_dropped->inc();
-                    part = T{};
-                  }
-                  origin_exec->post([land, k, part = std::move(part)]() mutable {
-                    land(k, std::move(part));
-                  });
-                });
-        if (gw) gw->pump();
-      });
-    }
-  }
+  /// Replays `plain` on every shard and answers with `merge` of the legs,
+  /// on the origin thread, once every leg has landed.
+  void scatter(std::size_t origin, const Bytes& plain, Merge merge,
+               std::function<void(Bytes)> respond);
 
   std::vector<ShardRef> shards_;
   std::vector<ShardCounters> counters_;

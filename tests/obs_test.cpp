@@ -3,13 +3,8 @@
 // lossless text exporter round-trip.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <random>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +27,20 @@ TEST(CounterTest, IncrementsAndResets) {
   EXPECT_EQ(c.value(), 42u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(CounterTest, LosesNothingUnderThreads) {
+  Counter c;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 100'000;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) c.inc();
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
 }
 
 TEST(GaugeTest, SetAddAndHighWatermark) {
@@ -75,12 +84,12 @@ TEST(RegistryTest, ResetValuesKeepsHandlesAlive) {
   c.inc(3);
   g.set(7);
   h.record(100);
-  reg.begin_span("root");
+  reg.tracer().start_trace("root", "");
   reg.reset_values();
   EXPECT_EQ(c.value(), 0u);
   EXPECT_EQ(g.value(), 0);
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_TRUE(reg.spans().empty());
+  EXPECT_TRUE(reg.tracer().snapshot().empty());
   // The handle still points at the live metric.
   c.inc();
   EXPECT_EQ(reg.counter("c").value(), 1u);
@@ -141,28 +150,42 @@ TEST(HistogramTest, QuantileMonotonicityProperty) {
   }
 }
 
+/// The recorded spans named `name`, in start order.
+std::vector<TraceSpan> spans_called(const Tracer& tracer,
+                                    const std::string& name) {
+  std::vector<TraceSpan> out;
+  for (TraceSpan& span : tracer.snapshot()) {
+    if (span.name == name) out.push_back(std::move(span));
+  }
+  return out;
+}
+
 TEST(SpanTest, ParentChildNesting) {
   ManualClock clock;
   MetricsRegistry reg(&clock);
+  Tracer& tracer = reg.tracer();
 
-  const SpanId root = reg.begin_span("protocol.round");
+  const TraceContext root = tracer.start_trace("protocol.round", "");
   clock.advance_us(100);
-  const SpanId push = reg.begin_span("rendezvous.push", root);
+  const TraceContext push = tracer.start_span("rendezvous.push", "", root);
   clock.advance_us(400);
-  reg.end_span(push);
-  const SpanId wait = reg.begin_span("phone.wait", root);
+  tracer.end(push);
+  const TraceContext wait = tracer.start_span("phone.wait", "", root);
   clock.advance_us(700);
-  reg.end_span(wait);
-  reg.end_span(root);
+  tracer.end(wait);
+  tracer.end(root);
 
-  const auto roots = reg.spans_named("protocol.round");
+  const auto roots = spans_called(tracer, "protocol.round");
   ASSERT_EQ(roots.size(), 1u);
   EXPECT_EQ(roots[0].parent, 0u);
   EXPECT_TRUE(roots[0].finished);
   EXPECT_EQ(roots[0].start, 0);
   EXPECT_EQ(roots[0].end, 1200);
 
-  const auto children = reg.children_of(root);
+  std::vector<TraceSpan> children;
+  for (const TraceSpan& span : tracer.snapshot()) {
+    if (span.parent == root.span_id && span.finished) children.push_back(span);
+  }
   ASSERT_EQ(children.size(), 2u);
   EXPECT_EQ(children[0].name, "rendezvous.push");
   EXPECT_EQ(children[0].end - children[0].start, 400);
@@ -180,14 +203,15 @@ TEST(SpanTest, ParentChildNesting) {
 TEST(SpanTest, EndSpanTolerantOfUnknownAndDoubleEnd) {
   ManualClock clock;
   MetricsRegistry reg(&clock);
-  const SpanId s = reg.begin_span("s");
+  Tracer& tracer = reg.tracer();
+  const TraceContext s = tracer.start_trace("s", "");
   clock.advance_us(10);
-  reg.end_span(s);
+  tracer.end(s);
   clock.advance_us(10);
-  reg.end_span(s);    // already finished: no-op
-  reg.end_span(0);    // the "no span" id: no-op
-  reg.end_span(999);  // unknown: no-op
-  const auto spans = reg.spans_named("s");
+  tracer.end(s);                                    // already finished: no-op
+  tracer.end(TraceContext{s.trace_id, 0, true});    // the "no span" id: no-op
+  tracer.end(TraceContext{s.trace_id, 999, true});  // unknown: no-op
+  const auto spans = spans_called(tracer, "s");
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].end, 10);
 }
@@ -281,89 +305,6 @@ TEST(ExporterTest, ResilienceMetricsExportThroughTheRegistry) {
   EXPECT_NE(text.find("resilience.faults_injected"), std::string::npos);
   // And the export parses back losslessly, like every other metric.
   EXPECT_EQ(parse_text(text), snap);
-}
-
-TEST(CounterCellTest, ThreadsGetStableDistinctCells) {
-  // The hot path caches the assignment: a thread must see one cell for
-  // its whole lifetime, and the first kCells threads must be
-  // pairwise-distinct so the storm actually spreads across cache lines.
-  std::mutex mu;
-  std::set<std::size_t> cells;
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < Counter::kCells; ++t) {
-    workers.emplace_back([&] {
-      const std::size_t first = counter_cell_index();
-      const std::size_t second = counter_cell_index();
-      EXPECT_EQ(first, second);
-      EXPECT_LT(first, Counter::kCells);
-      std::lock_guard<std::mutex> lock(mu);
-      cells.insert(first);
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(cells.size(), Counter::kCells)
-      << "round-robin assignment must not collide within the first round";
-}
-
-TEST(CounterCellTest, ShardedCounterLosesNothingUnderThreads) {
-  Counter c;
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 100'000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) c.inc();
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(c.value(), kThreads * kPerThread);
-}
-
-TEST(CounterCellTest, ShardedBeatsSingleAtomicOnMultiCore) {
-  // Regression guard for the sharded-counter rework: with real parallel
-  // cores, per-thread cells must at least match one shared atomic whose
-  // cache line bounces between them. On a single-core host the shared
-  // atomic never bounces, so the comparison is meaningless — skip.
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores < 2) {
-    GTEST_SKIP() << "needs >= 2 cores to create cache-line contention "
-                    "(have "
-                 << cores << ")";
-  }
-  const int threads = static_cast<int>(std::min(4u, cores));
-  constexpr std::uint64_t kPerThread = 1'000'000;
-
-  const auto storm = [&](auto&& bump) {
-    std::vector<std::thread> workers;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&] {
-        for (std::uint64_t i = 0; i < kPerThread; ++i) bump();
-      });
-    }
-    for (auto& w : workers) w.join();
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - t0;
-    return static_cast<double>(threads) * static_cast<double>(kPerThread) /
-           wall.count() / 1e6;  // Mops
-  };
-
-  // Best-of-3 per layout: one noisy-neighbour scheduling hiccup must not
-  // flip a genuine >= into a flaky <.
-  double single = 0;
-  double sharded = 0;
-  for (int run = 0; run < 3; ++run) {
-    std::atomic<std::uint64_t> one{0};
-    single = std::max(
-        single, storm([&] { one.fetch_add(1, std::memory_order_relaxed); }));
-    Counter c;
-    sharded = std::max(sharded, storm([&] { c.inc(); }));
-  }
-  // 0.9: the invariant is "no longer pays the bouncing line", not an
-  // exact microbench ordering on a shared CI box.
-  EXPECT_GE(sharded, 0.9 * single)
-      << "sharded " << sharded << " Mops vs single atomic " << single
-      << " Mops — the per-thread cells regressed back into contention";
 }
 
 TEST(MergeSnapshotTest, CountersAndGaugesAdd) {

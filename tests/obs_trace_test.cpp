@@ -167,10 +167,11 @@ TEST(TracerTest, EndTolerantOfUnknownDoubleAndZero) {
   Tracer tracer;
   const TraceContext span = tracer.start_trace("s", "c");
   tracer.end(span);
-  tracer.end(span);                       // double end: no-op
-  tracer.end_span_id(0);                  // "no span": no-op
-  tracer.end_span_id(0xdeadbeef);         // unknown: no-op
-  tracer.end(TraceContext{});             // invalid ctx: no-op
+  tracer.end(span);                                           // double end
+  tracer.end(TraceContext{span.trace_id, 0, true});           // "no span"
+  tracer.end(TraceContext{span.trace_id, 0xdeadbeef, true});  // unknown
+  tracer.end(TraceContext{});                                 // invalid ctx
+  // Each of the above is a no-op.
   EXPECT_EQ(tracer.trace(span.trace_id).size(), 1u);
 }
 
@@ -366,6 +367,26 @@ TEST(TraceJsonTest, ExportsTreeWithAttributesAndEvents) {
   EXPECT_NE(json.find("\"domain\": \"mail.google.com\""), std::string::npos);
   EXPECT_NE(json.find("\"message\": \"sent\""), std::string::npos);
   EXPECT_NE(json.find(trace_id_hex(root.trace_id)), std::string::npos);
+}
+
+TEST(TraceJsonTest, MergeEqualsExportOfTheConcatenatedSpans) {
+  ManualClock clock;
+  Tracer tracer(&clock);
+  const TraceContext root = tracer.start_trace("a", "browser");
+  const TraceContext b = tracer.start_span("b", "server", root);
+  const TraceContext c = tracer.start_span("c", "phone", root);
+  tracer.end(c);
+  tracer.end(b);
+  tracer.end(root);
+  const std::vector<TraceSpan> spans = tracer.trace(root.trace_id);
+  ASSERT_EQ(spans.size(), 3u);
+
+  // Shard legs: two spans, a lost leg, one span, a shard with none.
+  const std::vector<std::string> docs = {
+      trace_to_json({spans[0], spans[1]}), "", trace_to_json({spans[2]}),
+      trace_to_json({})};
+  EXPECT_EQ(merge_trace_json(docs), trace_to_json(spans));
+  EXPECT_EQ(merge_trace_json({"", "not a trace"}), trace_to_json({}));
 }
 
 // ---------------------------------------------------------- critical path

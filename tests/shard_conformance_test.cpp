@@ -3,7 +3,8 @@
 // at N = 1, 2, 4 over the deterministic simulation and over real TCP
 // (SO_REUSEPORT across reactor threads); outcomes match the single-shard
 // server, a request's trace tree stays connected across the shard
-// mailbox, aggregate /metrics //trace//events answer for all shards, and
+// mailbox, the aggregate endpoints answer with exactly the fold of every
+// shard's body (and /push/poll with the statuses one server gives), and
 // a user's rows live in exactly one shard's storage file.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "client/browser.h"
@@ -271,6 +273,21 @@ struct OpsClient {
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r.value().status, 200);
   }
+
+  // One request; the response, or status 0 (and a test failure) when the
+  // round never completes.
+  websvc::Response send(simnet::Simulation& sim, websvc::Method method,
+                        const std::string& path) {
+    websvc::Request req;
+    req.method = method;
+    req.path = path;
+    Waiter<Result<websvc::Response>> waiter(sim);
+    http.send(std::move(req), waiter.capture());
+    const auto r = waiter.wait();
+    EXPECT_TRUE(r.ok()) << path;
+    if (!r.ok()) return websvc::Response{0, {}, {}};
+    return r.value();
+  }
 };
 
 TEST(ShardConformance, AggregateEndpointsCoverEveryShard) {
@@ -323,6 +340,8 @@ TEST(ShardConformance, AggregateEndpointsCoverEveryShard) {
   const auto missing = missing_waiter.wait();
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing.value().status, 404);
+  EXPECT_EQ(ops.send(st.bed().sim(), websvc::Method::kGet, "/trace/xyz").status,
+            400);
 
   // /events concatenates every shard's structured log.
   Waiter<Result<websvc::Response>> events_waiter(st.bed().sim());
@@ -330,6 +349,101 @@ TEST(ShardConformance, AggregateEndpointsCoverEveryShard) {
   const auto events = events_waiter.wait();
   ASSERT_TRUE(events.ok());
   EXPECT_EQ(events.value().status, 200);
+}
+
+TEST(ShardConformance, AggregateBodiesAreTheFoldOfEveryShard) {
+  ShardedSimConfig config;
+  config.shards = 2;
+  config.base.seed = 59;
+  // A 1 ms SLO makes every round slow, so both shards' slowlogs fill.
+  config.base.server.slow_request_slo_us = 1'000;
+  ShardedSimTestbed st(config);
+  // The last round crosses the mailbox (its user lives on shard 1, the
+  // browser dials shard 0), so both shards hold spans of its trace.
+  std::vector<std::string> users = {"alice", "bob"};
+  if (st.owner_of(users[1]) == 0) std::swap(users[0], users[1]);
+  ASSERT_EQ(st.owner_of(users[1]), 1u);
+  for (const std::string& user : users) {
+    ASSERT_TRUE(st.bed().provision(user, kMp).ok()) << user;
+    ASSERT_TRUE(st.bed().add_account("A", "site.example.com").ok()) << user;
+    ASSERT_TRUE(st.bed().get_password("A", "site.example.com").ok()) << user;
+  }
+  for (std::size_t k = 0; k < st.shards(); ++k) {
+    st.shard(k).metrics().events().emit(obs::EventLevel::kInfo, "test",
+                                        "shard " + std::to_string(k));
+  }
+  // The scrapes arrive over shard 0's secure channel, which would count
+  // their records into the registry being compared; keep it still.
+  st.shard(0).secure().set_metrics(nullptr);
+
+  crypto::ChaChaDrbg rng(123);
+  OpsClient ops(st.bed(), rng);
+  simnet::Simulation& sim = st.bed().sim();
+
+  // /metrics: the text of every shard's snapshot merged in shard order.
+  const websvc::Response metrics =
+      ops.send(sim, websvc::Method::kGet, "/metrics");
+  EXPECT_EQ(metrics.status, 200);
+  obs::Snapshot merged;
+  for (std::size_t k = 0; k < st.shards(); ++k) {
+    obs::merge_snapshot(merged, st.shard(k).metrics().snapshot());
+  }
+  EXPECT_EQ(metrics.body, obs::to_text(merged));
+
+  // /trace/<id>: one JSON document over the shards' spans, shard order.
+  const obs::TraceId id = st.bed().browser().last_trace_id();
+  for (std::size_t k = 0; k < st.shards(); ++k) {
+    EXPECT_FALSE(st.shard(k).metrics().tracer().trace(id).empty())
+        << "shard " << k;
+  }
+  const auto spans = merged_trace(st, id);
+  const websvc::Response trace =
+      ops.send(sim, websvc::Method::kGet, "/trace/" + obs::trace_id_hex(id));
+  EXPECT_EQ(trace.status, 200);
+  EXPECT_EQ(trace.body, obs::trace_to_json(spans));
+
+  // /events and /slowlog: the shards' JSON lines, concatenated.
+  std::string events;
+  std::string slowlog;
+  for (std::size_t k = 0; k < st.shards(); ++k) {
+    const std::string shard_events =
+        st.shard(k).metrics().events().to_json_lines();
+    const std::string shard_slowlog = st.shard(k).slowlog().to_json_lines();
+    EXPECT_FALSE(shard_events.empty()) << "shard " << k;
+    EXPECT_FALSE(shard_slowlog.empty()) << "shard " << k;
+    events += shard_events;
+    slowlog += shard_slowlog;
+  }
+  const websvc::Response events_resp =
+      ops.send(sim, websvc::Method::kGet, "/events");
+  EXPECT_EQ(events_resp.status, 200);
+  EXPECT_EQ(events_resp.body, events);
+  const websvc::Response slowlog_resp =
+      ops.send(sim, websvc::Method::kGet, "/slowlog");
+  EXPECT_EQ(slowlog_resp.status, 200);
+  EXPECT_EQ(slowlog_resp.body, slowlog);
+}
+
+TEST(ShardConformance, PushPollAnswersLikeOneServer) {
+  for (const std::size_t n : {1u, 2u}) {
+    ShardedSimConfig config;
+    config.shards = n;
+    config.base.seed = 61;
+    ShardedSimTestbed st(config);
+    crypto::ChaChaDrbg rng(123);
+    OpsClient ops(st.bed(), rng);
+    // No reg_id: every shard rejects the form alike, so the 400 answers
+    // for all of them instead of folding into an empty 200.
+    EXPECT_EQ(ops.send(st.bed().sim(), websvc::Method::kPost, "/push/poll")
+                  .status,
+              400)
+        << "N=" << n;
+    // /push/poll is POST-only: a GET finds no route on any shard.
+    EXPECT_EQ(
+        ops.send(st.bed().sim(), websvc::Method::kGet, "/push/poll").status,
+        404)
+        << "N=" << n;
+  }
 }
 
 // ------------------------------------- shard-agnostic session tickets

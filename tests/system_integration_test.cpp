@@ -382,26 +382,34 @@ TEST(SystemIntegration, RoundSpanTreeCoversProtocolPhases) {
   Testbed bed;
   ASSERT_TRUE(bed.provision("alice", "mp").ok());
   ASSERT_TRUE(bed.add_account("Alice", "mail.google.com").ok());
-  bed.server().metrics().clear_spans();
+  bed.server().metrics().tracer().clear();
 
   ASSERT_TRUE(bed.get_password("Alice", "mail.google.com").ok());
   bed.sim().run();
 
-  auto& metrics = bed.server().metrics();
-  const auto roots = metrics.spans_named("protocol.round");
+  const auto spans = bed.server().metrics().tracer().snapshot();
+  std::vector<obs::TraceSpan> roots;
+  for (const auto& s : spans) {
+    if (s.name == "protocol.round") roots.push_back(s);
+  }
   ASSERT_EQ(roots.size(), 1u);
   // No longer a detached root: the round joins the browser's distributed
   // trace, parented under the http.server span of POST /password/request.
   ASSERT_NE(roots[0].parent, 0u);
   bool parent_is_http_server = false;
-  for (const auto& s : metrics.spans_named("http.server")) {
-    if (s.id == roots[0].parent) parent_is_http_server = true;
+  for (const auto& s : spans) {
+    if (s.name == "http.server" && s.id == roots[0].parent) {
+      parent_is_http_server = true;
+    }
   }
   EXPECT_TRUE(parent_is_http_server);
   ASSERT_TRUE(roots[0].finished);
   EXPECT_GT(roots[0].end, roots[0].start);
 
-  const auto children = metrics.children_of(roots[0].id);
+  std::vector<obs::TraceSpan> children;  // finished, in start order
+  for (const auto& s : spans) {
+    if (s.parent == roots[0].id && s.finished) children.push_back(s);
+  }
   ASSERT_EQ(children.size(), 3u);
   EXPECT_EQ(children[0].name, "rendezvous.push");
   EXPECT_EQ(children[1].name, "phone.wait");
@@ -411,7 +419,7 @@ TEST(SystemIntegration, RoundSpanTreeCoversProtocolPhases) {
     EXPECT_LE(child.end, roots[0].end) << child.name;
   }
   // The phases are where the time goes: waiting on the phone dominates.
-  const auto span_us = [](const obs::SpanRecord& s) { return s.end - s.start; };
+  const auto span_us = [](const obs::TraceSpan& s) { return s.end - s.start; };
   EXPECT_GT(span_us(children[1]), span_us(children[2]));
 }
 

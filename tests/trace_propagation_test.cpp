@@ -114,7 +114,7 @@ TEST(TracePropagation, SimLoginProducesOneConnectedFiveHopTree) {
   Testbed bed;
   ASSERT_TRUE(bed.provision("alice", "mp").ok());
   ASSERT_TRUE(bed.add_account("Alice", "mail.google.com").ok());
-  bed.server().metrics().clear_spans();
+  bed.server().metrics().tracer().clear();
 
   ASSERT_TRUE(bed.get_password("Alice", "mail.google.com").ok());
   bed.sim().run();
@@ -198,7 +198,7 @@ TEST(TracePropagation, PollFallbackKeepsPhoneInTheTree) {
   // trace context rides inside the push payload, so the fallback path
   // must keep phone.confirm under the round's phone.wait span.
   bed.net().set_online("gcm", false);
-  bed.server().metrics().clear_spans();
+  bed.server().metrics().tracer().clear();
 
   ASSERT_TRUE(bed.get_password("Alice", "mail.google.com").ok());
   bed.sim().run_until(bed.sim().now() + ms_to_us(5000));
@@ -244,7 +244,7 @@ std::vector<std::string> traced_flow_shape(Testbed& bed,
     });
   });
   EXPECT_TRUE(ok);
-  bed.server().metrics().clear_spans();
+  bed.server().metrics().tracer().clear();
   await([&](auto done) {
     browser.request_password("Carol", "mail.google.com",
                              [&, done](Result<std::string> r) {

@@ -10,6 +10,7 @@
 #   tools/run_tests.sh sanitize   # ASan+UBSan pass only
 #   tools/run_tests.sh tsan       # TSan pass (net tests) only
 #   tools/run_tests.sh faults     # fault-injection/torture pass
+#   tools/run_tests.sh perfbench  # benchmark self-test (python3)
 #
 # The faults pass runs the resilience suites (seeded fault injection,
 # storage crash-schedule torture, degraded-mode end-to-end) plain and
@@ -19,6 +20,11 @@
 # AMNESIA_TORTURE_SEED=<seed>. All fault suites use fixed seeds, so
 # every pass is deterministic; the regular plain/sanitize/tsan passes
 # already include them at the tier-1 default of 1000 iterations.
+#
+# The perfbench pass runs perfbench/selftest.py, which builds the
+# benchmark (its own CMake package over src/) into .bench_build/
+# and smoke-runs every workload, so a src/ change that breaks the
+# benchmark's build or its checks fails here too. `all` includes it.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -48,6 +54,11 @@ run_pass() {
     fi
 }
 
+run_perfbench() {
+    echo "== perfbench self-test"
+    (cd "$repo_root" && python3 perfbench/selftest.py)
+}
+
 # The TSan pass covers the binaries that exercise threads against the
 # epoll loop: EventLoop::post from foreign threads, the HttpServer worker
 # pool over TcpTransport, and the securechan framing used on both. The
@@ -62,15 +73,16 @@ run_pass() {
 # cluster on a reactor thread while the main thread drives clients. The
 # profiler suites hammer SIGPROF delivery against concurrent scrapes and
 # the slowlog suites drive the sharded flight recorder, so both join.
-tsan_filter='net_|securechan_stream|obs_trace|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|obs_profiler_|slowlog_'
+# obs_test brings the counter hammered by four threads at once.
+tsan_filter='net_|securechan_stream|obs_test|obs_trace|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|obs_profiler_|slowlog_'
 
 # Everything driven by resilience::FaultInjector plus the degraded-mode
 # end-to-end suites; cluster_ brings the mid-round primary-crash drills
-# and storage_codec_fuzz the hostile-bytes sweeps over the AMDB codecs.
 # and storage_codec_fuzz the hostile-bytes sweeps over the AMDB codecs;
 # obs_profiler_ includes the signal-safety smoke (profiler armed across
-# the storage torture schedules) and slowlog_ the faulted-leg scrapes.
-fault_filter='resilience_|storage_torture|net_tcp|rendezvous_cloud|obs_test|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|storage_codec_fuzz|obs_profiler_|slowlog_'
+# the storage torture schedules), slowlog_ the faulted-leg scrapes, and
+# net_rpc the hostile RPC frames.
+fault_filter='resilience_|storage_torture|net_tcp|net_rpc|rendezvous_cloud|obs_test|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|storage_codec_fuzz|obs_profiler_|slowlog_'
 
 case "$mode" in
 plain)
@@ -81,6 +93,9 @@ sanitize)
     ;;
 tsan)
     run_pass build-tsan "$tsan_filter" -DAMNESIA_SANITIZE=thread
+    ;;
+perfbench)
+    run_perfbench
     ;;
 faults)
     AMNESIA_TORTURE_ITERS=${AMNESIA_TORTURE_ITERS:-5000}
@@ -93,9 +108,10 @@ all)
     run_pass build ""
     run_pass build-san "" -DAMNESIA_SANITIZE=address,undefined
     run_pass build-tsan "$tsan_filter" -DAMNESIA_SANITIZE=thread
+    run_perfbench
     ;;
 *)
-    echo "usage: $0 [plain|sanitize|tsan|faults|all]" >&2
+    echo "usage: $0 [plain|sanitize|tsan|faults|perfbench|all]" >&2
     exit 2
     ;;
 esac
