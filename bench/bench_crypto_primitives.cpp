@@ -22,6 +22,7 @@
 #include "crypto/hmac.h"
 #include "crypto/pbkdf2.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_compress.h"
 #include "crypto/sha512.h"
 #include "crypto/x25519.h"
 #include "securechan/channel.h"
@@ -44,6 +45,30 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+
+// One block compression per backend, chained through the state as
+// PBKDF2 chains its compressions. Sha256 runs the SHA-NI row wherever the
+// CPU has it, so the portable row is what keeps the fallback gated.
+void BM_Sha256Compress(benchmark::State& state,
+                       crypto::detail::Sha256Compress compress) {
+  if (compress == nullptr) {
+    state.SkipWithError("CPU lacks SHA-NI");
+    return;
+  }
+  const Bytes block = test_bytes(crypto::Sha256::kBlockSize);
+  crypto::detail::Sha256State s{};
+  for (auto _ : state) {
+    compress(s, block.data());
+    benchmark::DoNotOptimize(s.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK_CAPTURE(BM_Sha256Compress, portable,
+                  &crypto::detail::sha256_compress_portable);
+BENCHMARK_CAPTURE(BM_Sha256Compress, shani,
+                  crypto::detail::sha256_shani_backend());
 
 void BM_Sha512(benchmark::State& state) {
   const Bytes data = test_bytes(static_cast<std::size_t>(state.range(0)));

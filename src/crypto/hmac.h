@@ -7,8 +7,10 @@
 // The key schedule is computed exactly once: the constructor absorbs
 // key^ipad and key^opad and saves both compression midstates, so reset()
 // is a register copy instead of re-hashing a key block, and finish() costs
-// one outer compression instead of a full outer pass. This is what makes
-// PBKDF2's inner loop exactly two compression calls per iteration.
+// one outer compression instead of a full outer pass. mac_digest_block()
+// goes further for PBKDF2's U chain: a digest-length message pads the same
+// way on both passes, so one block padded once serves every iteration,
+// which is then two midstate restores and two compressions.
 #pragma once
 
 #include "common/bytes.h"
@@ -24,6 +26,7 @@ class Hmac {
  public:
   static constexpr std::size_t kDigestSize = Hash::kDigestSize;
   using Digest = std::array<std::uint8_t, kDigestSize>;
+  using Block = std::array<std::uint8_t, Hash::kBlockSize>;
 
   explicit Hmac(ByteView key) {
     std::array<std::uint8_t, Hash::kBlockSize> pad;
@@ -50,10 +53,12 @@ class Hmac {
     secure_wipe(key_hash.data(), key_hash.size());
   }
 
-  /// Key-equivalent material (the pad midstates) is wiped on destruction.
+  /// Key-equivalent material (the pad midstates) and the working state,
+  /// which holds the last tag, are wiped on destruction.
   ~Hmac() {
     secure_wipe(&inner_mid_, sizeof(inner_mid_));
     secure_wipe(&outer_mid_, sizeof(outer_mid_));
+    secure_wipe(&inner_, sizeof(inner_));
   }
 
   Hmac(const Hmac&) = default;
@@ -76,6 +81,7 @@ class Hmac {
     outer.update(ByteView(inner_digest.data(), inner_digest.size()));
     outer.finish_into(out);
     secure_wipe(inner_digest.data(), inner_digest.size());
+    secure_wipe(&outer, sizeof(outer));
   }
 
   Digest finish_digest() {
@@ -86,6 +92,28 @@ class Hmac {
 
   /// Restarts the MAC with the same key (a midstate restore; no hashing).
   void reset() { inner_.restore_midstate(inner_mid_); }
+
+  /// A block for mac_digest_block(): zeros where a kDigestSize-byte
+  /// message goes, then its padding. After the one key-pad block such a
+  /// message pads the same way on the inner and the outer pass (0x80,
+  /// zeros, the bit length of kBlockSize + kDigestSize bytes), so this
+  /// block, padded once, serves both passes of every call.
+  static Block digest_block() {
+    Block block{};
+    Hash::pad_final_block(block.data(), kDigestSize,
+                          Hash::kBlockSize + kDigestSize);
+    return block;
+  }
+
+  /// MACs the kDigestSize-byte message at the front of `block` (from
+  /// digest_block()) and writes the tag back over it, so repeated calls
+  /// walk PBKDF2's chain U_1 -> U_2 -> ...: two midstate restores and two
+  /// compressions, with no padding, copying or allocation. Finishes the
+  /// streaming MAC; call reset() before update() again.
+  void mac_digest_block(std::uint8_t* block) {
+    inner_.finish_padded(inner_mid_, block, block);
+    inner_.finish_padded(outer_mid_, block, block);
+  }
 
  private:
   typename Hash::Midstate inner_mid_;

@@ -64,8 +64,14 @@ PasswordRecord PasswordRecord::decode(const std::string& encoded) {
   }
   rec.scheme = static_cast<HashScheme>(scheme_num);
   rec.iterations = iters;
+  if (rec.scheme == HashScheme::kPbkdf2Sha256 && rec.iterations == 0) {
+    throw FormatError("PasswordRecord: PBKDF2 needs at least one iteration");
+  }
   rec.salt = hex_decode(parts[2]);
   rec.hash = hex_decode(parts[3]);
+  // An empty hash would match every secret (two empty strings compare
+  // equal), so a record without one is malformed, not permissive.
+  if (rec.hash.empty()) throw FormatError("PasswordRecord: empty hash");
   return rec;
 }
 
@@ -87,6 +93,9 @@ PasswordRecord PasswordHasher::hash(ByteView secret, RandomSource& rng) const {
 }
 
 bool PasswordHasher::verify(ByteView secret, const PasswordRecord& record) {
+  // Fail closed: an empty stored hash would compare equal to the empty
+  // candidate derived for it, whatever the secret.
+  if (record.hash.empty()) return false;
   const Bytes candidate = compute(record.scheme, record.iterations, secret,
                                   record.salt, record.hash.size());
   return ct_equal(candidate, record.hash);

@@ -32,6 +32,8 @@ struct PasswordRecord {
 
   /// Stable textual form "scheme$iterations$salt_hex$hash_hex" for storage.
   std::string encode() const;
+  /// Parses encode()'s form. Throws FormatError on a malformed record,
+  /// including an empty hash and a PBKDF2 record with zero iterations.
   static PasswordRecord decode(const std::string& encoded);
 };
 
@@ -50,6 +52,7 @@ class PasswordHasher {
   PasswordRecord hash(ByteView secret, RandomSource& rng) const;
 
   /// Constant-time verification against a stored record (any scheme).
+  /// False for a record with an empty hash, whatever the secret.
   static bool verify(ByteView secret, const PasswordRecord& record);
 
  private:

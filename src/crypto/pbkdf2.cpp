@@ -1,5 +1,7 @@
 #include "crypto/pbkdf2.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "crypto/crypto_metrics.h"
 #include "crypto/hmac.h"
@@ -11,13 +13,13 @@ Bytes pbkdf2_hmac_sha256(ByteView password, ByteView salt,
   if (iterations == 0) throw CryptoError("pbkdf2: zero iterations");
   constexpr std::size_t kHashLen = Sha256::kDigestSize;
 
-  // One HMAC instance holds the precomputed key-pad midstates; every
-  // iteration below is a midstate restore plus exactly two SHA-256
-  // compressions (inner over U, outer over the inner digest), with all
-  // intermediates on fixed-size stack buffers — no key re-scheduling and
-  // no heap traffic inside the loop.
+  // One HMAC instance holds the precomputed key-pad midstates. U_1 goes
+  // through the streaming MAC (the salt has any length); every later U is
+  // a digest-length message, MACed in place in one pre-padded block: a
+  // midstate restore and a compression per pass, with no padding, copying
+  // or heap traffic inside the loop.
   HmacSha256 mac(password);
-  std::array<std::uint8_t, kHashLen> u;
+  HmacSha256::Block block = HmacSha256::digest_block();
   std::array<std::uint8_t, kHashLen> t;
 
   Bytes dk;
@@ -33,19 +35,17 @@ Bytes pbkdf2_hmac_sha256(ByteView password, ByteView salt,
         static_cast<std::uint8_t>(block_index >> 8),
         static_cast<std::uint8_t>(block_index)};
     mac.update(ByteView(be, 4));
-    mac.finish_into(u.data());
-    t = u;
+    mac.finish_into(block.data());
+    std::copy_n(block.begin(), kHashLen, t.begin());
     for (std::uint32_t iter = 1; iter < iterations; ++iter) {
-      mac.reset();
-      mac.update(ByteView(u.data(), kHashLen));
-      mac.finish_into(u.data());
-      for (std::size_t i = 0; i < kHashLen; ++i) t[i] ^= u[i];
+      mac.mac_digest_block(block.data());
+      for (std::size_t i = 0; i < kHashLen; ++i) t[i] ^= block[i];
     }
     const std::size_t take = std::min(kHashLen, dk_len - dk.size());
     dk.insert(dk.end(), t.begin(), t.begin() + static_cast<long>(take));
     ++block_index;
   }
-  secure_wipe(u.data(), u.size());
+  secure_wipe(block.data(), block.size());
   secure_wipe(t.data(), t.size());
 
   const auto& counters = detail::crypto_counters();

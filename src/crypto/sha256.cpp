@@ -4,6 +4,12 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "crypto/sha256_compress.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace amnesia::crypto {
 
@@ -26,20 +32,52 @@ constexpr std::array<std::uint32_t, 8> kInit = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
     0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
+// The 64-bit bit length ends every final block, at this offset.
+constexpr std::size_t kLengthOffset = 56;
+
 inline std::uint32_t rotr(std::uint32_t x, int n) { return std::rotr(x, n); }
+
+void store_be64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+  }
+}
+
+// Word stores rather than byte stores: the digest often lands in a block
+// that is compressed next, and byte stores defeat store forwarding.
+void store_digest(const detail::Sha256State& state, std::uint8_t* out) {
+  for (int i = 0; i < 8; ++i) {
+    const std::uint32_t be = std::endian::native == std::endian::little
+                                 ? __builtin_bswap32(state[i])
+                                 : state[i];
+    std::memcpy(out + 4 * i, &be, sizeof(be));
+  }
+}
+
+#if defined(__x86_64__)
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+}
+#endif
+
+// Every block compresses through here, on the backend picked at first use.
+void compress(detail::Sha256State& state, const std::uint8_t* block) {
+  static const detail::Sha256Compress backend = [] {
+    const detail::Sha256Compress shani = detail::sha256_shani_backend();
+    return shani != nullptr ? shani : &detail::sha256_compress_portable;
+  }();
+  backend(state, block);
+}
 
 }  // namespace
 
-Sha256::Sha256() { reset(); }
+namespace detail {
 
-void Sha256::reset() {
-  state_ = kInit;
-  buffered_ = 0;
-  total_bytes_ = 0;
-  finished_ = false;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void sha256_compress_portable(Sha256State& state, const std::uint8_t* block) {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -55,7 +93,7 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  auto [a, b, c, d, e, f, g, h] = state;
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -72,18 +110,91 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+// The same 64 rounds on the SHA extensions. sha256rnds2 runs two rounds
+// on the working variables packed as ABEF and CDGH; sha256msg1/msg2
+// extend the message schedule four words at a time. Outside the
+// anonymous namespace so the sampling profiler's dladdr can name it.
+__attribute__((target("sha,sse4.1"))) void sha256_compress_shani(
+    Sha256State& state, const std::uint8_t* block) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // w[j & 3] holds schedule words 4j..4j+3.
+  __m128i w[4];
+  for (int j = 0; j < 4; ++j) {
+    w[j] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * j)),
+        byte_swap);
+  }
+#pragma GCC unroll 16
+  for (int j = 0; j < 16; ++j) {
+    if (j >= 4) {
+      const __m128i partial =
+          _mm_add_epi32(_mm_sha256msg1_epu32(w[j & 3], w[(j + 1) & 3]),
+                        _mm_alignr_epi8(w[(j + 3) & 3], w[(j + 2) & 3], 4));
+      w[j & 3] = _mm_sha256msg2_epu32(partial, w[(j + 3) & 3]);
+    }
+    __m128i wk = _mm_add_epi32(
+        w[j & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * j])));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    wk = _mm_shuffle_epi32(wk, 0x0e);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+  }
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+Sha256Compress sha256_shani_backend() {
+#if defined(__x86_64__)
+  if (cpu_has_sha_ni()) return &sha256_compress_shani;
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
+Sha256::Sha256() { reset(); }
+
+void Sha256::reset() {
+  state_ = kInit;
+  buffered_ = 0;
+  total_bytes_ = 0;
+  finished_ = false;
 }
 
 void Sha256::update(ByteView data) {
   if (finished_) throw CryptoError("Sha256: update() after finish()");
+  // An empty view may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {
@@ -93,12 +204,12 @@ void Sha256::update(ByteView data) {
     buffered_ += take;
     offset += take;
     if (buffered_ == kBlockSize) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data());
       buffered_ = 0;
     }
   }
   while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
+    compress(state_, data.data() + offset);
     offset += kBlockSize;
   }
   if (offset < data.size()) {
@@ -138,35 +249,36 @@ void Sha256::finish_into(std::uint8_t* out) {
   if (finished_) throw CryptoError("Sha256: finish() called twice");
   finished_ = true;
 
-  const std::uint64_t bit_len = total_bytes_ * 8;
-  std::array<std::uint8_t, kBlockSize * 2> pad{};
-  std::size_t pad_len = 0;
-  pad[pad_len++] = 0x80;
-  // Pad to 56 mod 64, then append the 64-bit big-endian bit length.
-  while ((buffered_ + pad_len) % kBlockSize != 56) ++pad_len;
-  for (int i = 7; i >= 0; --i) {
-    pad[pad_len++] = static_cast<std::uint8_t>(bit_len >> (i * 8));
+  // Pad in place: 0x80, zeros, and the bit length in the last eight
+  // bytes. A tail of 56 bytes or more leaves no room for the length,
+  // which then ends a block of its own.
+  buffer_[buffered_] = 0x80;
+  std::memset(buffer_.data() + buffered_ + 1, 0, kBlockSize - buffered_ - 1);
+  if (buffered_ >= kLengthOffset) {
+    compress(state_, buffer_.data());
+    std::memset(buffer_.data(), 0, kLengthOffset);
   }
+  store_be64(buffer_.data() + kLengthOffset, total_bytes_ * 8);
+  compress(state_, buffer_.data());
+  store_digest(state_, out);
+}
 
-  // Feed padding through the block machinery directly.
-  std::size_t offset = 0;
-  while (offset < pad_len) {
-    const std::size_t take = std::min(kBlockSize - buffered_, pad_len - offset);
-    std::memcpy(buffer_.data() + buffered_, pad.data() + offset, take);
-    buffered_ += take;
-    offset += take;
-    if (buffered_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+void Sha256::pad_final_block(std::uint8_t* block, std::size_t tail,
+                             std::uint64_t total_bytes) {
+  if (tail >= kLengthOffset) {
+    throw CryptoError("Sha256: pad_final_block() tail leaves no room");
   }
+  block[tail] = 0x80;
+  std::memset(block + tail + 1, 0, kLengthOffset - tail - 1);
+  store_be64(block + kLengthOffset, total_bytes * 8);
+}
 
-  for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+void Sha256::finish_padded(const Midstate& mid, const std::uint8_t* block,
+                           std::uint8_t* out) {
+  state_ = mid.h;
+  finished_ = true;
+  compress(state_, block);
+  store_digest(state_, out);
 }
 
 Bytes sha256(ByteView data) {

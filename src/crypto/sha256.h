@@ -3,6 +3,8 @@
 // Amnesia uses SHA-256 for the password request R = H(u || d || sigma) and
 // the token T = H(e_0 || ... || e_15) (paper section III-B). The class is a
 // conventional streaming hasher; sha256() is the one-shot convenience.
+// Blocks compress on SHA-NI where the CPU has it and on portable rounds
+// elsewhere, with bit-identical output (see sha256_compress.h).
 #pragma once
 
 #include <array>
@@ -55,9 +57,24 @@ class Sha256 {
   /// absorbed that many bytes. Clears any finished/buffered state.
   void restore_midstate(const Midstate& m);
 
- private:
-  void process_block(const std::uint8_t* block);
+  /// Pads a message's last block in place. `block` starts with the
+  /// message's final `tail` bytes (at most 55); writes 0x80, zeros and the
+  /// 64-bit big-endian bit length of the whole `total_bytes`-byte message
+  /// after them. For hashing many messages of one length: pad a block
+  /// once, overwrite only its first `tail` bytes per message, and finish
+  /// with finish_padded(). Throws CryptoError if the length does not fit.
+  static void pad_final_block(std::uint8_t* block, std::size_t tail,
+                              std::uint64_t total_bytes);
 
+  /// Restores `mid`, compresses `block` (a last block padded by
+  /// pad_final_block() for a message of mid.total_bytes + tail bytes) and
+  /// writes the digest to `out`, which may alias `block`. The same digest
+  /// as restore_midstate(mid), update(tail), finish_into(out), in one
+  /// compression with no copying or padding. Leaves the hasher finished.
+  void finish_padded(const Midstate& mid, const std::uint8_t* block,
+                     std::uint8_t* out);
+
+ private:
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffered_ = 0;

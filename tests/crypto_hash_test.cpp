@@ -1,12 +1,16 @@
 // SHA-256 / SHA-512 against FIPS 180-4 (NIST CAVP) vectors, plus
-// streaming-interface behaviour.
+// streaming-interface behaviour and SHA-256 backend parity.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
 #include <string>
 
 #include "common/bytes.h"
 #include "common/error.h"
+#include "crypto/drbg.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_compress.h"
 #include "crypto/sha512.h"
 
 namespace amnesia::crypto {
@@ -241,6 +245,111 @@ TEST(Sha256FinishInto, FinishDigestMatchesOneShot) {
   const Sha256::Digest d = h.finish_digest();
   EXPECT_EQ(Bytes(d.begin(), d.end()), sha256(to_bytes("abc")));
 }
+
+// ---------------------------------------------------------------- backends
+// Sha256 compresses on SHA-NI wherever the CPU has it, so on such a CPU
+// the tests above never reach the portable rounds. These drive each
+// backend on its own, padding here rather than in Sha256. On a SHA-NI CPU
+// the random-midstate case of the portable backend is the kernel held to
+// its oracle, the portable rounds.
+
+struct Backend {
+  const char* name;
+  detail::Sha256Compress compress;  // nullptr: not on this CPU
+
+  friend void PrintTo(const Backend& b, std::ostream* os) { *os << b.name; }
+};
+
+constexpr detail::Sha256State kSha256Init = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+Bytes digest_of(const detail::Sha256State& state) {
+  Bytes out;
+  for (std::uint32_t word : state) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<std::uint8_t>(word >> shift));
+    }
+  }
+  return out;
+}
+
+/// Pads `msg` as FIPS 180-4 section 5.1.1 does, after `prefix_bytes`
+/// already absorbed into `state`, and compresses it block by block.
+Bytes hash_with(detail::Sha256Compress compress, detail::Sha256State state,
+                std::uint64_t prefix_bytes, const Bytes& msg) {
+  Bytes padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0x00);
+  const std::uint64_t bits = (prefix_bytes + msg.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  for (std::size_t off = 0; off < padded.size(); off += 64) {
+    compress(state, padded.data() + off);
+  }
+  return digest_of(state);
+}
+
+detail::Sha256State random_state(ChaChaDrbg& rng) {
+  const Bytes raw = rng.bytes(sizeof(detail::Sha256State));
+  detail::Sha256State state{};
+  std::memcpy(state.data(), raw.data(), raw.size());
+  return state;
+}
+
+class Sha256BackendTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  void SetUp() override {
+    if (GetParam().compress == nullptr) {
+      GTEST_SKIP() << "this CPU lacks SHA-NI (the SHA and SSE4.1 "
+                      "extensions); Sha256 runs the portable rounds here";
+    }
+  }
+
+  std::string hex(const Bytes& msg) const {
+    return hex_encode(hash_with(GetParam().compress, kSha256Init, 0, msg));
+  }
+};
+
+TEST_P(Sha256BackendTest, Fips180ShortVectors) {
+  EXPECT_EQ(hex(Bytes{}),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex(to_bytes("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex(to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomn"
+                         "opnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST_P(Sha256BackendTest, Fips180OneMillionA) {
+  EXPECT_EQ(hex(Bytes(1'000'000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256BackendTest, RandomMidstateAndBlockMatchSha256) {
+  // A random chaining state stands for a 64-byte prefix; one random block
+  // and the padding block follow, through this backend alone and through
+  // Sha256's restore_midstate/update/finish, which runs the CPU's backend.
+  ChaChaDrbg rng(1804);
+  for (int trial = 0; trial < 500; ++trial) {
+    const detail::Sha256State state = random_state(rng);
+    const Bytes block = rng.bytes(64);
+    Sha256 h;
+    h.restore_midstate({state, 64});
+    h.update(block);
+    EXPECT_EQ(hash_with(GetParam().compress, state, 64, block), h.finish())
+        << "trial=" << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, Sha256BackendTest,
+    ::testing::Values(Backend{"portable", &detail::sha256_compress_portable},
+                      Backend{"shani", detail::sha256_shani_backend()}),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace amnesia::crypto

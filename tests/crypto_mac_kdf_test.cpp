@@ -1,4 +1,4 @@
-// HMAC (RFC 4231), HKDF (RFC 5869), PBKDF2 (RFC 7914 appendix /
+// HMAC (RFC 4231), HKDF (RFC 5869), PBKDF2 (RFC 7914 section 11 /
 // well-known SHA-256 vectors), and the master-password record format.
 #include <gtest/gtest.h>
 
@@ -168,6 +168,22 @@ TEST(Pbkdf2, LongInputsMultiBlockOutput) {
           to_bytes("saltSALTsaltSALTsaltSALTsaltSALTsalt"), 4096, 40)),
       "348c89dbcbd32b2f32d814b8116e84cf2b17347ebc1800181c4e2a1fb8dd53e1"
       "c635518c7dac47e9");
+}
+
+// RFC 7914 section 11: 64-byte outputs, so both output blocks run the
+// iteration loop.
+TEST(Pbkdf2, Rfc7914Vector1Iteration64Bytes) {
+  EXPECT_EQ(hex_encode(pbkdf2_hmac_sha256(to_bytes("passwd"),
+                                          to_bytes("salt"), 1, 64)),
+            "55ac046e56e3089fec1691c22544b605f94185216dde0465e68b9d57c20dacbc"
+            "49ca9cccf179b645991664b39d77ef317c71b845b1e30bd509112041d3a19783");
+}
+
+TEST(Pbkdf2, Rfc7914Vector80000Iterations64Bytes) {
+  EXPECT_EQ(hex_encode(pbkdf2_hmac_sha256(to_bytes("Password"),
+                                          to_bytes("NaCl"), 80'000, 64)),
+            "4ddcd8f60b98be21830cee5ef22701f9641a4418d04c0414aeff08876b34ab56"
+            "a1d425a1225833549adb841b51c9b3176a272bdebba1d078478f62b397f33c8d");
 }
 
 TEST(Pbkdf2, ZeroIterationsThrows) {
@@ -349,6 +365,24 @@ TEST(PasswordHasherTest, DecodeRejectsMalformedRecords) {
   EXPECT_THROW(PasswordRecord::decode("x$1$aa$bb"), FormatError);
   EXPECT_THROW(PasswordRecord::decode("9$1$aa$bb"), FormatError);
   EXPECT_THROW(PasswordRecord::decode("2$1$zz$bb"), FormatError);
+  // An empty hash would verify any secret; zero PBKDF2 iterations cannot
+  // be computed. Both are malformed on disk and in replicated applies.
+  EXPECT_THROW(
+      PasswordRecord::decode("2$10000$000102030405060708090a0b0c0d0e0f$"),
+      FormatError);
+  EXPECT_THROW(PasswordRecord::decode("1$1$00$"), FormatError);
+  EXPECT_THROW(PasswordRecord::decode("2$0$aa$bb"), FormatError);
+}
+
+TEST(PasswordHasherTest, VerifyFailsClosedOnEmptyHash) {
+  const PasswordRecord pbkdf2{HashScheme::kPbkdf2Sha256, 10, Bytes(16, 0x5a),
+                              {}};
+  const PasswordRecord legacy{HashScheme::kLegacySaltedSha256, 1,
+                              Bytes(1, 0x00), {}};
+  for (const char* secret : {"", "correct horse battery", "anything"}) {
+    EXPECT_FALSE(PasswordHasher::verify(to_bytes(secret), pbkdf2)) << secret;
+    EXPECT_FALSE(PasswordHasher::verify(to_bytes(secret), legacy)) << secret;
+  }
 }
 
 TEST(DrbgTest, DeterministicForSameSeed) {

@@ -45,11 +45,13 @@ run_pass() {
     # Smoke-run the bench harness so it cannot bit-rot between perf PRs
     # (full runs are tools/run_benches.sh's job). Executed inside the build
     # dir so its JSON artifact does not clobber a real one at the repo root.
+    # Both SHA-256 compression backends run, so the portable fallback stays
+    # exercised on CPUs where Sha256 itself runs SHA-NI.
     if [ -z "$test_filter" ]; then
         echo "== bench smoke $build_dir"
         (cd "$repo_root/$build_dir" &&
             ./bench/bench_crypto_primitives \
-                --benchmark_filter='BM_Sha256/64$' \
+                --benchmark_filter='BM_Sha256/64$|BM_Sha256Compress/' \
                 --benchmark_min_time=0.01 >/dev/null)
     fi
 }
