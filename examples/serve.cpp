@@ -2,7 +2,8 @@
 //
 // The full server stack (routes, worker pool, secure channel, rendezvous,
 // phone) runs inside the simulation; server::NetGateway bridges it onto
-// net::TcpTransport so real clients reach it over loopback or the LAN.
+// net::TcpTransport so real clients reach it over loopback or the LAN,
+// and a server::ClockBridge runs the simulation on the loop's real time.
 // Three modes:
 //
 //   ./serve
@@ -163,7 +164,8 @@ int run_demo() {
   net::TcpTransport secure_tr(loop, "127.0.0.1", 0);
   net::TcpTransport http_tr(loop, "127.0.0.1", 0);
   secure_tr.set_metrics(&bed->server().metrics());
-  server::NetGateway gateway(secure_tr, &http_tr, bed->server());
+  server::ClockBridge bridge(bed->sim(), loop);
+  server::NetGateway gateway(secure_tr, &http_tr, bed->server(), &bridge);
   std::printf("  secure-channel RPC on 127.0.0.1:%u, /metrics on "
               "127.0.0.1:%u\n",
               secure_tr.local_port(), http_tr.local_port());
@@ -229,7 +231,9 @@ int run_listen(std::uint16_t port, std::uint16_t http_port) {
   if (http_port != 0) {
     http_tr = std::make_unique<net::TcpTransport>(loop, "0.0.0.0", http_port);
   }
-  server::NetGateway gateway(secure_tr, http_tr.get(), bed->server());
+  server::ClockBridge bridge(bed->sim(), loop);
+  server::NetGateway gateway(secure_tr, http_tr.get(), bed->server(),
+                             &bridge);
 
   std::printf("amnesia-server listening\n");
   std::printf("  secure-channel RPC : 0.0.0.0:%u\n", secure_tr.local_port());

@@ -102,6 +102,8 @@ void Sha512::process_block(const std::uint8_t* block) {
 
 void Sha512::update(ByteView data) {
   if (finished_) throw CryptoError("Sha512: update() after finish()");
+  // An empty view may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {

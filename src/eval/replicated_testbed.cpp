@@ -162,14 +162,15 @@ void ReplicatedTcpTestbed::start() {
   const std::size_t n = world_->replicas();
   pool_ = std::make_unique<net::ReactorPool>(1);
   net::EventLoop& loop0 = pool_->loop(0);
-  // Nothing runs the loop yet, so binding fds from this thread is safe.
+  // Nothing runs the loop yet, so binding fds (and arming the bridge's
+  // timer) from this thread is safe.
+  bridge_ = std::make_unique<server::ClockBridge>(world_->bed().sim(), loop0);
   std::vector<std::uint16_t> repl_ports;
   for (std::size_t k = 0; k < n; ++k) {
     auto ht = std::make_unique<net::TcpTransport>(loop0, "127.0.0.1", 0);
     ht->set_metrics(&world_->replica(k).metrics());
-    gateways_.push_back(
-        std::make_unique<server::NetGateway>(*ht, nullptr,
-                                             world_->replica(k)));
+    gateways_.push_back(std::make_unique<server::NetGateway>(
+        *ht, nullptr, world_->replica(k), bridge_.get()));
     http_ports_.push_back(ht->local_port());
     http_transports_.push_back(std::move(ht));
 
@@ -219,6 +220,7 @@ void ReplicatedTcpTestbed::stop() {
   repl_listeners_.clear();
   repl_transports_.clear();
   gateways_.clear();
+  bridge_.reset();  // detaches the simulation's head hook
   http_transports_.clear();
   started_ = false;
 }

@@ -15,8 +15,9 @@
 //
 // ReplicatedTcpTestbed — the same world, but the replication stream and
 // the client-facing HTTP legs run over real TCP. All replicas share one
-// reactor thread (their gateways pump the one shared simulation, exactly
-// like server::NetGateway's bridged mode), each listens on its own
+// reactor thread and one server::ClockBridge (their gateways all serve
+// the one shared simulation, so it runs on one real-time mapping and one
+// wakeup timer), each listens on its own
 // ephemeral port, and the primary ships to followers through
 // net::RpcClient connections into cluster::ReplListener acceptors. Use
 // in phases like ShardedTcpTestbed: provision single-threaded, start(),
@@ -129,6 +130,7 @@ class ReplicatedTcpTestbed {
   std::unique_ptr<ReplicatedSimTestbed> world_;
   std::unique_ptr<net::ReactorPool> pool_;
   std::vector<std::unique_ptr<net::TcpTransport>> http_transports_;
+  std::unique_ptr<server::ClockBridge> bridge_;  // for world_'s simulation
   std::vector<std::unique_ptr<server::NetGateway>> gateways_;
   std::vector<std::unique_ptr<net::TcpTransport>> repl_transports_;
   std::vector<std::unique_ptr<cluster::ReplListener>> repl_listeners_;

@@ -116,15 +116,18 @@ void ShardedTcpTestbed::start() {
     // views go through the router's merged GET /metrics.
     transport->set_metrics(&beds_[k]->server().metrics());
     transports_.push_back(std::move(transport));
+    bridges_.push_back(std::make_unique<server::ClockBridge>(
+        beds_[k]->sim(), pool_->loop(k)));
     gateways_.push_back(std::make_unique<server::NetGateway>(
-        *transports_.back(), nullptr, beds_[k]->server()));
+        *transports_.back(), nullptr, beds_[k]->server(),
+        bridges_.back().get()));
     if (k == 0) port_ = transports_[0]->local_port();
   }
   std::vector<server::ShardRef> refs;
   refs.reserve(beds_.size());
   for (std::size_t k = 0; k < beds_.size(); ++k) {
     refs.push_back(server::ShardRef{&beds_[k]->server(), &pool_->loop(k),
-                                    gateways_[k].get()});
+                                    bridges_[k].get()});
   }
   router_ = std::make_unique<server::ShardRouter>(std::move(refs));
   // Arm the always-on sampling profiler before the reactors spin up so
@@ -144,6 +147,7 @@ void ShardedTcpTestbed::stop() {
   obs::Profiler::instance().stop();
   router_.reset();  // restores the shards' stock secure handlers
   gateways_.clear();
+  bridges_.clear();  // detaches the sims' head hooks
   transports_.clear();
   started_ = false;
 }

@@ -14,7 +14,8 @@
 // ShardedTcpTestbed — the real thing. N complete Testbeds (each with its
 // own virtual phone/gcm world), one ReactorPool thread per shard, one
 // TcpTransport per shard all bound to a single port via SO_REUSEPORT, and
-// a NetGateway pinning each shard's virtual clock to real time. All
+// a NetGateway per shard, whose server::ClockBridge pins that shard's
+// virtual clock to real time (the router pumps the same bridge). All
 // shards serve one pinned X25519 key, so a client's connection may land
 // on any reactor and still handshake. Use it in three phases:
 //
@@ -116,6 +117,7 @@ class ShardedTcpTestbed {
   std::unique_ptr<net::ReactorPool> pool_;
   std::vector<std::unique_ptr<Testbed>> beds_;
   std::vector<std::unique_ptr<net::TcpTransport>> transports_;
+  std::vector<std::unique_ptr<server::ClockBridge>> bridges_;  // one per bed
   std::vector<std::unique_ptr<server::NetGateway>> gateways_;
   std::unique_ptr<server::ShardRouter> router_;
   std::uint16_t port_ = 0;

@@ -4,8 +4,10 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -30,7 +32,6 @@ EventLoop::EventLoop() {
     ::close(epoll_fd_);
     throw NetError(std::string("epoll_ctl(wakeup): ") + std::strerror(errno));
   }
-  last_tick_ = static_cast<std::uint64_t>(clock_.now_us()) >> kTickShift;
 }
 
 EventLoop::~EventLoop() {
@@ -95,88 +96,73 @@ void EventLoop::del_fd(int fd) {
 
 // ---- timers ------------------------------------------------------------
 
+namespace {
+// Tombstones beyond the live count tolerated before the heap is rebuilt.
+constexpr std::size_t kTombstoneSlack = 64;
+}  // namespace
+
 EventLoop::TimerId EventLoop::add_timer(Micros delay_us,
                                         std::function<void()> fn) {
   if (delay_us < 0) delay_us = 0;
-  const Micros deadline = clock_.now_us() + delay_us;
   const TimerId id = next_timer_id_++;
-  wheel_[slot_of(deadline)].push_back(Timer{id, deadline, std::move(fn)});
-  live_timers_.insert(id);
-  if (nearest_deadline_ < 0 || deadline < nearest_deadline_) {
-    nearest_deadline_ = deadline;
-  }
+  heap_.push_back(HeapEntry{clock_.now_us() + delay_us, id});
+  std::push_heap(heap_.begin(), heap_.end(), later);
+  timers_.emplace(id, std::move(fn));
   return id;
 }
 
 bool EventLoop::cancel_timer(TimerId id) {
-  if (live_timers_.erase(id) == 0) return false;
-  // The wheel entry stays put; it is discarded when its slot is visited.
-  cancelled_timers_.insert(id);
+  if (timers_.erase(id) == 0) return false;
+  // The heap entry stays as a tombstone until it reaches the top, unless
+  // tombstones now outnumber live timers: a loop that keeps re-arming one
+  // far-off timer would otherwise grow the heap without bound.
+  if (heap_.size() > 2 * timers_.size() + kTombstoneSlack) {
+    std::erase_if(heap_, [this](const HeapEntry& e) {
+      return !timers_.contains(e.id);
+    });
+    std::make_heap(heap_.begin(), heap_.end(), later);
+  }
+  drop_cancelled_top();
   return true;
 }
 
-void EventLoop::recompute_nearest() {
-  nearest_deadline_ = -1;
-  if (live_timers_.empty()) return;
-  for (const auto& slot : wheel_) {
-    for (const Timer& t : slot) {
-      if (cancelled_timers_.contains(t.id)) continue;
-      if (nearest_deadline_ < 0 || t.deadline < nearest_deadline_) {
-        nearest_deadline_ = t.deadline;
-      }
-    }
+void EventLoop::drop_cancelled_top() {
+  // Keeps the top live, so wait_budget() sleeps to a real deadline.
+  while (!heap_.empty() && !timers_.contains(heap_.front().id)) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
   }
 }
 
 std::size_t EventLoop::process_timers() {
   const Micros now = clock_.now_us();
-  const std::uint64_t now_tick = static_cast<std::uint64_t>(now) >> kTickShift;
-  if (live_timers_.empty() && cancelled_timers_.empty()) {
-    last_tick_ = now_tick;
-    return 0;
-  }
-  // Visit every slot the clock has crossed since the last pass, plus the
-  // current slot (so sub-tick delays fire as soon as now >= deadline). One
-  // full rotation covers the whole wheel.
-  std::uint64_t span = now_tick - last_tick_ + 1;
-  if (span > kWheelSlots) span = kWheelSlots;
-
+  // Timers the callbacks below add wait for the next pass even when they
+  // are already due, so a timer re-arming itself at delay 0 cannot starve
+  // the fds. Such a timer's deadline is >= now, so every older due entry
+  // sorts ahead of it.
+  const TimerId first_new = next_timer_id_;
   std::size_t fired = 0;
-  std::vector<Timer> due;
-  for (std::uint64_t i = 0; i < span; ++i) {
-    const std::uint64_t tick = now_tick - (span - 1) + i;
-    auto& slot = wheel_[tick & (kWheelSlots - 1)];
-    for (std::size_t j = 0; j < slot.size();) {
-      Timer& t = slot[j];
-      if (cancelled_timers_.erase(t.id) > 0) {
-        slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(j));
-        continue;
-      }
-      if (t.deadline <= now) {
-        live_timers_.erase(t.id);
-        due.push_back(std::move(t));
-        slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(j));
-        continue;
-      }
-      ++j;  // a later rotation's timer
-    }
-  }
-  last_tick_ = now_tick;
-  if (!due.empty() || (nearest_deadline_ >= 0 && nearest_deadline_ <= now)) {
-    recompute_nearest();
-  }
-  for (Timer& t : due) {
+  while (!heap_.empty() && heap_.front().deadline <= now &&
+         heap_.front().id < first_new) {
+    const HeapEntry top = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
+    const auto it = timers_.find(top.id);
+    if (it == timers_.end()) continue;  // cancelled
+    std::function<void()> fn = std::move(it->second);
+    timers_.erase(it);
     ++fired;
     if (timers_fired_) timers_fired_->inc();
     if (timer_slip_us_) {
-      timer_slip_us_->record(now > t.deadline ? now - t.deadline : 0);
+      timer_slip_us_->record(now - top.deadline);
       const Micros t0 = clock_.now_us();
-      t.fn();
+      fn();
       callback_us_->record(clock_.now_us() - t0);
     } else {
-      t.fn();
+      fn();
     }
   }
+  drop_cancelled_top();
   return fired;
 }
 
@@ -228,8 +214,8 @@ std::size_t EventLoop::drain_posted() {
 
 Micros EventLoop::wait_budget(Micros max_wait_us) const {
   Micros budget = max_wait_us < 0 ? 0 : max_wait_us;
-  if (nearest_deadline_ >= 0) {
-    const Micros until = nearest_deadline_ - clock_.now_us();
+  if (!heap_.empty()) {
+    const Micros until = heap_.front().deadline - clock_.now_us();
     if (until < budget) budget = until < 0 ? 0 : until;
   }
   {
@@ -242,12 +228,11 @@ Micros EventLoop::wait_budget(Micros max_wait_us) const {
 
 std::size_t EventLoop::poll(Micros max_wait_us) {
   const Micros budget = wait_budget(max_wait_us);
-  // Round up so a timer due in 200 us is not spun on with timeout 0.
-  const int timeout_ms =
-      budget <= 0 ? 0 : static_cast<int>((budget + 999) / 1000);
+  const timespec timeout{static_cast<time_t>(budget / 1'000'000),
+                         static_cast<long>(budget % 1'000'000) * 1'000};
 
   epoll_event events[64];
-  const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  const int n = ::epoll_pwait2(epoll_fd_, events, 64, &timeout, nullptr);
   if (wakeups_) wakeups_->inc();
   std::size_t dispatched = 0;
   if (n > 0) {
@@ -280,7 +265,8 @@ std::size_t EventLoop::poll(Micros max_wait_us) {
       ++dispatched;
     }
   } else if (n < 0 && errno != EINTR) {
-    throw NetError(std::string("epoll_wait: ") + std::strerror(errno));
+    // ENOSYS here means a kernel older than 5.11 (no epoll_pwait2).
+    throw NetError(std::string("epoll_pwait2: ") + std::strerror(errno));
   }
   dispatched += drain_posted();
   dispatched += process_timers();
@@ -288,10 +274,12 @@ std::size_t EventLoop::poll(Micros max_wait_us) {
 }
 
 void EventLoop::run() {
-  stop_.store(false, std::memory_order_relaxed);
   while (!stop_.load(std::memory_order_relaxed)) {
     poll(1'000'000);
   }
+  // Consumed here, not reset on entry: a stop() that lands before run()
+  // starts (a pool stopped right after start()) must still end it.
+  stop_.store(false, std::memory_order_relaxed);
 }
 
 void EventLoop::stop() {

@@ -1,5 +1,5 @@
-// EventLoop: epoll-based reactor with a hashed timer wheel and an
-// eventfd wakeup channel.
+// EventLoop: epoll-based reactor with a deadline heap and an eventfd
+// wakeup channel.
 //
 // One loop drives any number of fds (listeners, connections) plus timers
 // (RPC timeouts, idle eviction) and cross-thread posted work. Everything
@@ -7,21 +7,24 @@
 // post() writes the wakeup fd so another thread can hand work in — that is
 // how benchmarks and tests inject traffic while the loop runs.
 //
-// Timers live in a fixed hashed wheel (256 slots x 1.024 ms granularity):
-// insert and cancel are O(1); expiry visits only the slots the clock has
-// crossed, so an idle loop with one 30 s timer sleeps in epoll_wait until
-// that deadline rather than ticking. Timers may fire up to one tick late;
-// they never fire early.
+// Timers live in one binary min-heap keyed by (deadline, id), so timers
+// due at the same instant fire in the order they were added. Insert is
+// O(log n); cancel drops the callback at once and leaves a tombstone that
+// is skipped when it reaches the top (the heap is rebuilt once tombstones
+// outnumber live timers by more than 64). poll() sleeps in epoll_pwait2
+// with a microsecond timeout, exactly until the earliest deadline: an
+// idle loop with one 30 s timer sleeps 30 s, and a 200 us timer fires
+// after about 200 us plus the kernel's timer slack. Timers never fire
+// early. epoll_pwait2 needs Linux 5.11 and glibc 2.35.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -53,7 +56,7 @@ class EventLoop final : public Executor {
   TimerId add_timer(Micros delay_us, std::function<void()> fn);
   /// Returns false if the timer already fired or was cancelled.
   bool cancel_timer(TimerId id);
-  std::size_t pending_timers() const { return live_timers_.size(); }
+  std::size_t pending_timers() const { return timers_.size(); }
 
   // ---- Executor ------------------------------------------------------
   /// Thread-safe: enqueues `fn` and wakes the loop via the eventfd.
@@ -64,11 +67,13 @@ class EventLoop final : public Executor {
   // ---- running -------------------------------------------------------
   /// Runs until stop(). May be called again after it returns.
   void run();
-  /// Thread-safe: makes run() return after the current iteration.
+  /// Thread-safe: makes run() return after the current iteration, or at
+  /// once if run() has not started yet.
   void stop();
   /// One iteration: waits at most `max_wait_us` (bounded further by the
-  /// next timer deadline), dispatches ready fds, posted work, and due
-  /// timers. Returns the number of callbacks dispatched.
+  /// next timer deadline, to the microsecond), dispatches ready fds,
+  /// posted work, and due timers. Returns the number of callbacks
+  /// dispatched.
   std::size_t poll(Micros max_wait_us);
 
   /// Publishes the loop-health series into `registry`. Besides the
@@ -90,27 +95,25 @@ class EventLoop final : public Executor {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
-  struct Timer {
-    TimerId id;
+  /// A heap entry; the callback lives in timers_ until it fires or is
+  /// cancelled, so an entry whose id is gone from timers_ is a tombstone.
+  struct HeapEntry {
     Micros deadline;
-    std::function<void()> fn;
+    TimerId id;
   };
+  /// The heap order for std::push_heap/pop_heap: the earliest (deadline,
+  /// id) on top.
+  static bool later(const HeapEntry& a, const HeapEntry& b) {
+    if (a.deadline != b.deadline) return a.deadline > b.deadline;
+    return a.id > b.id;
+  }
   struct FdEntry {
     IoHandler handler;
   };
 
-  static constexpr int kTickShift = 10;            // 1.024 ms per tick
-  static constexpr std::size_t kWheelSlots = 256;  // power of two
-
-  static std::size_t slot_of(Micros deadline) {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(deadline) >> kTickShift) &
-        (kWheelSlots - 1));
-  }
-
   std::size_t drain_posted();
   std::size_t process_timers();
-  void recompute_nearest();
+  void drop_cancelled_top();
   Micros wait_budget(Micros max_wait_us) const;
 
   int epoll_fd_ = -1;
@@ -118,11 +121,8 @@ class EventLoop final : public Executor {
   WallClock clock_;
   std::map<int, std::shared_ptr<FdEntry>> fds_;
 
-  std::array<std::vector<Timer>, kWheelSlots> wheel_;
-  std::set<TimerId> live_timers_;
-  std::set<TimerId> cancelled_timers_;
-  Micros nearest_deadline_ = -1;  // -1: none
-  std::uint64_t last_tick_ = 0;
+  std::vector<HeapEntry> heap_;
+  std::unordered_map<TimerId, std::function<void()>> timers_;  // live only
   TimerId next_timer_id_ = 1;
 
   mutable std::mutex post_mu_;

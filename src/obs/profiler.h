@@ -8,7 +8,7 @@
 //   * one POSIX per-thread CPU-time timer per registered thread
 //     (timer_create on the thread's CPU clock, SIGEV_THREAD_ID), so a
 //     thread is only sampled while it is actually running — an idle
-//     reactor parked in epoll_wait costs nothing;
+//     reactor parked in epoll_pwait2 costs nothing;
 //   * the SIGPROF handler captures a raw `backtrace()` into a lock-free
 //     per-thread sample ring (all-atomic slots, drop-oldest). The
 //     handler is async-signal-safe: no locks, no allocation, errno

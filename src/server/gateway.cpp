@@ -1,19 +1,71 @@
 #include "server/gateway.h"
 
-#include "common/logging.h"
+#include "common/error.h"
 
 namespace amnesia::server {
 
+// ---- ClockBridge ---------------------------------------------------------
+
+ClockBridge::ClockBridge(simnet::Simulation& sim, net::EventLoop& loop)
+    : sim_(sim),
+      loop_(loop),
+      real_epoch_(loop.clock().now_us()),
+      virtual_epoch_(sim.now()) {
+  sim_.set_head_hook([this](Micros) {
+    if (!pumping_) rearm();
+  });
+  rearm();
+}
+
+ClockBridge::~ClockBridge() {
+  sim_.set_head_hook(nullptr);
+  if (timer_ != 0) loop_.cancel_timer(timer_);
+}
+
+void ClockBridge::pump() {
+  const Micros target =
+      virtual_epoch_ + (loop_.clock().now_us() - real_epoch_);
+  if (target > sim_.now()) {
+    // Events scheduled while the sim runs move the head many times; the
+    // timer is re-armed once, below, for wherever it ends up.
+    pumping_ = true;
+    sim_.run_until(target);
+    pumping_ = false;
+  }
+  rearm();
+}
+
+void ClockBridge::rearm() {
+  const Micros next = sim_.next_event_time();
+  if (timer_ != 0 && armed_for_ == next) return;
+  if (timer_ != 0) loop_.cancel_timer(timer_);
+  timer_ = 0;
+  if (next < 0) return;
+  armed_for_ = next;
+  // Virtual and real time advance 1:1 past the epochs, so the real-time
+  // delay to the next virtual event is their difference under the map
+  // (negative, and so due at once, when the sim lags real time).
+  const Micros real_due = real_epoch_ + (next - virtual_epoch_);
+  timer_ = loop_.add_timer(real_due - loop_.clock().now_us(), [this] {
+    timer_ = 0;
+    pump();
+  });
+}
+
+// ---- NetGateway ----------------------------------------------------------
+
 NetGateway::NetGateway(net::Transport& secure_transport,
-                       net::Transport* http_transport, AmnesiaServer& server)
+                       net::Transport* http_transport, AmnesiaServer& server,
+                       ClockBridge* bridge)
     : secure_transport_(secure_transport),
       server_(server),
-      sim_(server.sim()),
-      exec_(secure_transport.executor()),
-      bridge_(&exec_ != static_cast<net::Executor*>(&sim_)) {
-  if (bridge_) {
-    real_epoch_ = exec_.clock().now_us();
-    virtual_epoch_ = sim_.now();
+      exec_(secure_transport.executor()) {
+  const bool on_sim = &exec_ == static_cast<net::Executor*>(&server_.sim());
+  if (on_sim == (bridge != nullptr)) {
+    throw Error(on_sim ? "NetGateway: a simulation-backed gateway needs no "
+                         "ClockBridge"
+                       : "NetGateway: a real-time gateway needs its "
+                         "simulation's ClockBridge");
   }
   secure_transport_.listen(
       [this](net::StreamPtr stream) { on_secure_stream(std::move(stream)); });
@@ -37,53 +89,19 @@ NetGateway::~NetGateway() {
 void NetGateway::on_secure_stream(net::StreamPtr stream) {
   auto peer = net::RpcPeer::attach(std::move(stream), exec_);
   net::RpcPeer* raw = peer.get();
+  // Whatever the request schedules in the simulation arms the bridge
+  // through the head hook; the handler itself never pumps.
   peer->set_handler(
       [this](const Bytes& body, std::function<void(Bytes)> respond) {
         server_.secure().handle_wire(body, std::move(respond));
-        if (bridge_) pump();
       });
   peer->set_on_close([this, raw]() { peers_.erase(raw); });
   peers_[raw] = std::move(peer);
 }
 
 void NetGateway::on_http_stream(net::StreamPtr stream) {
-  // The session owns itself through the stream's handlers; the gateway
-  // only supplies the sim-drain hook.
-  auto session =
-      websvc::HttpStreamSession::attach(std::move(stream), server_.http());
-  if (bridge_) {
-    session->set_post_input_hook([this]() { pump(); });
-  }
-}
-
-void NetGateway::pump() {
-  if (!bridge_) return;
-  const Micros target =
-      virtual_epoch_ + (exec_.clock().now_us() - real_epoch_);
-  if (target > sim_.now()) {
-    sim_.run_until(target);
-  }
-  schedule_wakeup();
-}
-
-void NetGateway::schedule_wakeup() {
-  const Micros next = sim_.next_event_time();
-  if (next < 0) {
-    armed_for_ = -1;
-    return;
-  }
-  if (armed_for_ == next) return;  // a timer for this instant is in flight
-  armed_for_ = next;
-  // Virtual and real time advance 1:1 past the epochs, so the real-time
-  // delay to the next virtual event is their difference under the map.
-  const Micros real_due = real_epoch_ + (next - virtual_epoch_);
-  Micros delay = real_due - exec_.clock().now_us();
-  if (delay < 0) delay = 0;
-  exec_.run_after(delay, [this, next]() {
-    if (armed_for_ != next) return;  // superseded by a later schedule
-    armed_for_ = -1;
-    pump();
-  });
+  // The session owns itself through the stream's handlers.
+  websvc::HttpStreamSession::attach(std::move(stream), server_.http());
 }
 
 }  // namespace amnesia::server

@@ -227,8 +227,7 @@ void ShardRouter::forward(std::size_t origin, std::size_t target,
     // The request bytes carry X-Amnesia-Trace too; re-establishing the
     // ambient context keeps spans opened outside the HTTP layer parented.
     obs::ScopedTrace scoped(trace);
-    NetGateway* gw = shards_[target].gateway;
-    if (gw) gw->pump();
+    if (ClockBridge* bridge = shards_[target].bridge) bridge->pump();
     shards_[target].server->http().handle_bytes(
         copy, [this, target, origin_exec,
                respond = std::move(respond)](Bytes response) mutable {
@@ -242,7 +241,6 @@ void ShardRouter::forward(std::size_t origin, std::size_t target,
                 respond(std::move(response));
               });
         });
-    if (gw) gw->pump();
   });
 }
 
@@ -297,8 +295,7 @@ void ShardRouter::scatter(std::size_t origin, const Bytes& plain, Merge merge,
       continue;
     }
     shards_[k].exec->post([this, k, origin_exec, wire, land] {
-      NetGateway* gw = shards_[k].gateway;
-      if (gw) gw->pump();
+      if (ClockBridge* bridge = shards_[k].bridge) bridge->pump();
       shards_[k].server->http().handle_bytes(
           *wire, [this, k, origin_exec, land](Bytes raw) {
             if (resilience::fault_check("shard.mailbox.reply")) {
@@ -309,7 +306,6 @@ void ShardRouter::scatter(std::size_t origin, const Bytes& plain, Merge merge,
               land(k, std::move(raw));
             });
           });
-      if (gw) gw->pump();
     });
   }
 }

@@ -92,9 +92,9 @@ struct ShardRef {
   /// Where this shard's work must run: its EventLoop in the multi-reactor
   /// deployment, or the shared Simulation in deterministic tests.
   net::Executor* exec = nullptr;
-  /// Pumped around forwarded work so the shard's virtual clock stays
-  /// pinned to real time; null when `exec` is the simulation itself.
-  NetGateway* gateway = nullptr;
+  /// Pumped before forwarded work runs, so the request sees the shard's
+  /// current virtual time; null when `exec` is the simulation itself.
+  ClockBridge* bridge = nullptr;
 };
 
 class ShardRouter {

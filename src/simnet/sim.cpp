@@ -1,5 +1,7 @@
 #include "simnet/sim.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "crypto/drbg.h"
 
@@ -12,7 +14,17 @@ Simulation::~Simulation() = default;
 
 void Simulation::schedule_at(Micros t, std::function<void()> fn) {
   if (t < now_) t = now_;
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  const bool new_head = queue_.empty() || t < queue_.front().time;
+  queue_.push_back(Event{t, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), later);
+  if (new_head && head_hook_) head_hook_(t);
+}
+
+void Simulation::set_head_hook(std::function<void(Micros)> hook) {
+  if (hook && head_hook_) {
+    throw Error("Simulation: a head hook is already installed");
+  }
+  head_hook_ = std::move(hook);
 }
 
 void Simulation::schedule_after(Micros delta, std::function<void()> fn) {
@@ -21,10 +33,10 @@ void Simulation::schedule_after(Micros delta, std::function<void()> fn) {
 
 bool Simulation::pop_and_run() {
   if (queue_.empty()) return false;
-  // priority_queue::top() is const; the event is copied out, then popped,
-  // so handlers may schedule freely.
-  Event ev = queue_.top();
-  queue_.pop();
+  // Moved out of the heap before it runs, so handlers may schedule freely.
+  std::pop_heap(queue_.begin(), queue_.end(), later);
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
   now_ = ev.time;
   ev.fn();
   return true;
@@ -40,7 +52,7 @@ bool Simulation::step() { return pop_and_run(); }
 
 std::size_t Simulation::run_until(Micros t) {
   std::size_t count = 0;
-  while (!queue_.empty() && queue_.top().time <= t) {
+  while (!queue_.empty() && queue_.front().time <= t) {
     pop_and_run();
     ++count;
   }

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/clock.h"
@@ -60,9 +59,18 @@ class Simulation : public net::Executor {
   bool idle() const { return queue_.empty(); }
 
   /// Virtual time of the earliest queued event; -1 when idle. Lets a
-  /// real-time driver (server::NetGateway) sleep exactly until the next
+  /// real-time driver (server::ClockBridge) sleep exactly until the next
   /// simulated event is due instead of polling.
-  Micros next_event_time() const { return idle() ? -1 : queue_.top().time; }
+  Micros next_event_time() const {
+    return idle() ? -1 : queue_.front().time;
+  }
+
+  /// Called with the event's time whenever a newly scheduled event becomes
+  /// the earliest queued one (not for events behind the current head), so
+  /// a real-time driver can re-arm its wakeup without polling the queue.
+  /// One hook per simulation (installing a second throws Error); an empty
+  /// function detaches it. Sim-only runs never install one.
+  void set_head_hook(std::function<void(Micros)> hook);
 
   RandomSource& rng() { return *rng_; }
 
@@ -79,11 +87,13 @@ class Simulation : public net::Executor {
     Micros time;
     std::uint64_t seq;
     std::function<void()> fn;
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
   };
+  /// The heap order for std::push_heap/pop_heap: the earliest (time, seq)
+  /// on top.
+  static bool later(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
 
   class SimClockView final : public Clock {
    public:
@@ -98,7 +108,8 @@ class Simulation : public net::Executor {
 
   Micros now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  std::vector<Event> queue_;  // a heap on (time, seq), earliest on top
+  std::function<void(Micros)> head_hook_;
   std::unique_ptr<RandomSource> rng_;
   SimClockView clock_view_{*this};
 };

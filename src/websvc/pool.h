@@ -13,8 +13,8 @@
 //   - at most `max_connections` entries; a request beyond the bound when
 //     every entry is busy multiplexes onto the least-loaded one (the
 //     secure channel is already a multiplexed record stream);
-//   - entries idle past `idle_timeout_us` are torn down by a sweep on the
-//     event loop's timer wheel (the server independently evicts idle TCP
+//   - entries idle past `idle_timeout_us` are torn down by a sweep on an
+//     event loop timer (the server independently evicts idle TCP
 //     connections — see docs/NETWORKING.md for how the two interact);
 //   - a transport failure resets the entry's SecureClient *ticket
 //     preserved*, so the redial resumes on whatever shard accepts it.

@@ -151,9 +151,7 @@ void HttpStreamSession::on_data(ByteView chunk) {
     }
     closed_ = true;
     stream_->close();
-    return;
   }
-  if (post_input_hook_) post_input_hook_();
 }
 
 void HttpStreamSession::on_request(ByteView wire) {

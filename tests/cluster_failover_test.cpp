@@ -479,5 +479,85 @@ TEST(ClusterFailover, TcpMidRoundCrashFinishesOnPromotedFollower) {
   EXPECT_TRUE(generate->finished);
 }
 
+TEST(ClusterFailover, TcpRoundsRunOnTimeWithoutOtherTraffic) {
+  // The follower ack that releases the semi-sync barrier arrives over
+  // TCP, outside any pump of the simulation. The phone push it schedules
+  // must wake the clock bridge at once (the simulation's head hook), not
+  // wait for the next unrelated sim event: a heartbeat, a lease renewal
+  // or the 1 s barrier timeout. With compute charges zeroed and
+  // near-zero links, a round then costs only its real work.
+  eval::ReplicatedTcpConfig cfg;
+  cfg.sim.base.seed = 91;
+  cfg.sim.base.server.token_compute_mean_ms = 0.0;
+  cfg.sim.base.server.token_compute_stddev_ms = 0.0;
+  cfg.sim.base.server.light_compute_ms = 0.0;
+  cfg.sim.base.phone.compute_mean_ms = 0.0;
+  cfg.sim.base.phone.compute_stddev_ms = 0.0;
+  eval::ReplicatedTcpTestbed st(cfg);
+  eval::Testbed& world = st.bed();
+
+  simnet::LinkProfile fast;
+  fast.name = "near-zero";
+  fast.base_latency_ms = 0.01;
+  fast.jitter_ms = 0.0;
+  fast.min_latency_ms = 0.005;
+  fast.bandwidth_mbps = 40'000.0;
+  auto& net = world.net();
+  net.set_default_link(fast);
+  net.set_duplex_link("gcm", "phone", fast, fast);
+  std::vector<std::string> servers;
+  for (std::size_t k = 0; k < st.world().replicas(); ++k) {
+    servers.push_back(st.world().replica(k).node_id());
+  }
+  for (const std::string& s : servers) {
+    net.set_duplex_link(s, "gcm", fast, fast);
+    net.set_duplex_link(s, "phone", fast, fast);
+    net.set_duplex_link(s + ".repl", "gcm", fast, fast);
+    for (const std::string& t : servers) {
+      if (s < t) net.set_duplex_link(s + ".repl", t + ".repl", fast, fast);
+    }
+  }
+
+  ASSERT_TRUE(world.provision("Alice", "correct horse").ok());
+  ASSERT_TRUE(world.add_account("Alice", "example.com").ok());
+  const auto baseline = world.get_password("Alice", "example.com");
+  ASSERT_TRUE(baseline.ok());
+
+  st.start();
+  net::EventLoop loop;
+  crypto::ChaChaDrbg rng(556);
+  const auto wait_for = [&](const std::function<bool()>& pred,
+                            Micros budget) {
+    const Micros deadline = loop.clock().now_us() + budget;
+    while (!pred() && loop.clock().now_us() < deadline) loop.poll(20'000);
+    return pred();
+  };
+  net::TcpTransport btcp(loop, "127.0.0.1", st.port(0));
+  net::RpcClient brpc(btcp, 10'000'000);
+  client::Browser browser(brpc.wire(), st.public_key(), rng, "browser");
+  std::optional<Status> login;
+  browser.login("Alice", "correct horse", [&](Status s) { login = s; });
+  ASSERT_TRUE(wait_for([&] { return login.has_value(); }, 20'000'000));
+  ASSERT_TRUE(login->ok());
+
+  std::vector<Micros> took;
+  for (int i = 0; i < 10; ++i) {
+    std::optional<Result<std::string>> got;
+    const Micros t0 = loop.clock().now_us();
+    browser.request_password("Alice", "example.com",
+                             [&](Result<std::string> r) { got = r; });
+    ASSERT_TRUE(wait_for([&] { return got.has_value(); }, 10'000'000));
+    took.push_back(loop.clock().now_us() - t0);
+    ASSERT_TRUE(got->ok()) << "round " << i;
+    EXPECT_EQ(got->value(), baseline.value());
+  }
+  st.stop();
+  std::sort(took.begin(), took.end());
+  const Micros median = (took[4] + took[5]) / 2;
+  // A round waiting on the next heartbeat (500 ms apart) or the barrier
+  // timeout takes hundreds of ms; one run on time takes a few.
+  EXPECT_LT(median, 50'000) << "median round " << median << " us";
+}
+
 }  // namespace
 }  // namespace amnesia

@@ -1,11 +1,12 @@
-// EventLoop unit tests: timer wheel semantics (sub-tick delays, long
-// delays spanning wheel rotations, cancellation), cross-thread post, and
-// poll() wait budgeting.
+// EventLoop unit tests: deadline-heap timer semantics (sub-millisecond
+// delays, long delays, cancellation, tombstones), the microsecond sleep,
+// cross-thread post, and poll() wait budgeting.
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -27,14 +28,33 @@ bool pump_until(EventLoop& loop, Pred done, Micros budget_us) {
   return true;
 }
 
-TEST(EventLoop, SubTickTimerFiresPromptly) {
+TEST(EventLoop, SubMillisecondTimerFiresPromptly) {
   EventLoop loop;
   bool fired = false;
   const Micros t0 = loop.clock().now_us();
   loop.add_timer(200, [&] { fired = true; });
   ASSERT_TRUE(pump_until(loop, [&] { return fired; }, 1'000'000));
-  // One wheel tick (1.024 ms) of allowed lateness, plus scheduling noise.
+  // Kernel timer slack plus scheduling noise on a loaded host.
   EXPECT_LT(loop.clock().now_us() - t0, 100'000);
+}
+
+TEST(EventLoop, PollSleepsToTheMicrosecondDeadline) {
+  // One poll with a generous budget sleeps exactly until a 200 us timer
+  // is due and fires it. A sleep rounded up to whole milliseconds takes
+  // at least 1 ms every time.
+  EventLoop loop;
+  std::vector<Micros> took;
+  for (int trial = 0; trial < 21; ++trial) {
+    bool fired = false;
+    loop.add_timer(200, [&] { fired = true; });
+    const Micros t0 = loop.clock().now_us();
+    loop.poll(1'000'000);
+    took.push_back(loop.clock().now_us() - t0);
+    EXPECT_TRUE(fired) << "trial " << trial;
+    ASSERT_TRUE(pump_until(loop, [&] { return fired; }, 1'000'000));
+  }
+  std::nth_element(took.begin(), took.begin() + 10, took.end());
+  EXPECT_LT(took[10], 700) << "median poll " << took[10] << " us";
 }
 
 TEST(EventLoop, TimersFireInDeadlineOrder) {
@@ -47,10 +67,8 @@ TEST(EventLoop, TimersFireInDeadlineOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventLoop, LongDelaySurvivesWheelRotation) {
-  // The wheel's horizon is 256 slots x 1.024 ms ~ 262 ms; a 400 ms timer
-  // hashes into a slot that is visited (and must be skipped) at least once
-  // before it is due.
+TEST(EventLoop, LongDelayNeverFiresEarly) {
+  // A 400 ms timer sits in the heap while shorter timers fire past it.
   EventLoop loop;
   bool fired = false;
   bool early = false;
@@ -59,7 +77,7 @@ TEST(EventLoop, LongDelaySurvivesWheelRotation) {
     fired = true;
     early = (loop.clock().now_us() - t0) < 400'000;
   });
-  // Keep short timers churning so earlier rotations visit the slot.
+  // Keep short timers churning so the heap reorders around it.
   for (int i = 1; i <= 10; ++i) loop.add_timer(i * 20'000, [] {});
   ASSERT_TRUE(pump_until(loop, [&] { return fired; }, 5'000'000));
   EXPECT_FALSE(early) << "timer fired before its deadline";
@@ -76,6 +94,45 @@ TEST(EventLoop, CancelledTimerNeverFires) {
   ASSERT_TRUE(pump_until(loop, [&] { return sentinel; }, 2'000'000));
   EXPECT_FALSE(fired);
   EXPECT_EQ(loop.pending_timers(), 0u);
+}
+
+TEST(EventLoop, CancelledTimersBelowTheTopArePruned) {
+  // Closing connections cancel far-off idle timers while nearer timers
+  // sit on top, so their tombstones pile up below it until the heap is
+  // rebuilt. Rebuilding keeps every live timer, in deadline order.
+  EventLoop loop;
+  std::vector<int> order;
+  loop.add_timer(2'000, [&] { order.push_back(1); });
+  loop.add_timer(4'000, [&] { order.push_back(2); });
+  bool cancelled_fired = false;
+  for (int i = 0; i < 10'000; ++i) {
+    const EventLoop::TimerId id =
+        loop.add_timer(30'000'000 + i, [&] { cancelled_fired = true; });
+    ASSERT_TRUE(loop.cancel_timer(id));
+  }
+  loop.add_timer(6'000, [&] { order.push_back(3); });
+  EXPECT_EQ(loop.pending_timers(), 3u);
+  ASSERT_TRUE(pump_until(loop, [&] { return order.size() == 3; }, 2'000'000));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_FALSE(cancelled_fired);
+  EXPECT_EQ(loop.pending_timers(), 0u);
+}
+
+TEST(EventLoop, TimerAddedByATimerWaitsForTheNextPoll) {
+  // A callback that re-arms at delay 0 must not run again in the same
+  // pass, or a self-re-arming timer would starve the fds.
+  EventLoop loop;
+  int first = 0;
+  int second = 0;
+  loop.add_timer(0, [&] {
+    ++first;
+    loop.add_timer(0, [&] { ++second; });
+  });
+  loop.poll(0);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 0);
+  loop.poll(0);
+  EXPECT_EQ(second, 1);
 }
 
 TEST(EventLoop, PostFromAnotherThreadRunsOnLoop) {
@@ -164,6 +221,22 @@ TEST(EventLoop, StopMakesRunReturn) {
   while (!running.load()) std::this_thread::yield();
   loop.stop();
   t.join();  // hangs (and times out the test) if stop() is lost
+}
+
+TEST(EventLoop, StopBeforeRunIsNotLost) {
+  // A pool stopped right after start() may stop a loop whose thread has
+  // not entered run() yet; run() must still return.
+  EventLoop loop;
+  loop.stop();
+  loop.run();  // hangs (and times out the test) if the stop is lost
+  // That stop is consumed: the next run() lasts until its own stop.
+  bool posted_ran = false;
+  loop.post([&] {
+    posted_ran = true;
+    loop.stop();
+  });
+  loop.run();
+  EXPECT_TRUE(posted_ran);
 }
 
 TEST(EventLoop, RunAfterMatchesExecutorContract) {

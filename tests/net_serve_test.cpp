@@ -5,17 +5,19 @@
 //
 //   - net::TcpTransport on a real loopback socket (epoll event loop,
 //     virtual/real clock bridge active), and
-//   - simnet::SimStreamTransport over simulated datagrams (bridge
-//     disabled; the test pumps virtual time).
+//   - simnet::SimStreamTransport over simulated datagrams (no bridge;
+//     the test pumps virtual time).
 //
 // The protocol bytes above the ByteStream are identical, so both
 // backends must accept the same scenario and — because every RNG is
 // seeded identically and passwords derive only from (seed, K_p) — must
-// generate the *same* password.
+// generate the *same* password. The ClockBridge case checks the bridge's
+// timer contract on its own.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "client/browser.h"
 #include "crypto/drbg.h"
@@ -76,7 +78,8 @@ FlowResult run_over_tcp(std::string* password_out) {
   auto bed = provisioned_bed();
   net::EventLoop loop;
   net::TcpTransport secure_tr(loop, "127.0.0.1", 0);
-  server::NetGateway gateway(secure_tr, nullptr, bed->server());
+  server::ClockBridge bridge(bed->sim(), loop);
+  server::NetGateway gateway(secure_tr, nullptr, bed->server(), &bridge);
 
   net::TcpTransport dial(loop, "127.0.0.1", secure_tr.local_port());
   net::RpcClient rpc(dial, 30'000'000);
@@ -156,6 +159,35 @@ TEST(ServeConformance, BackendsGenerateIdenticalPassword) {
   EXPECT_EQ(over_tcp, over_sim)
       << "identically-seeded testbeds must generate the same password "
          "regardless of transport backend";
+}
+
+TEST(ClockBridge, OneTimerArmedForTheEarliestEvent) {
+  simnet::Simulation sim(1);
+  net::EventLoop loop;
+  std::vector<int> ran;
+  const Micros t0 = loop.clock().now_us();
+  {
+    server::ClockBridge bridge(sim, loop);
+    EXPECT_EQ(loop.pending_timers(), 0u) << "nothing queued, nothing armed";
+    // Each event becomes the new head and re-arms the one timer.
+    sim.schedule_after(30'000, [&] { ran.push_back(3); });
+    sim.schedule_after(20'000, [&] { ran.push_back(2); });
+    sim.schedule_after(10'000, [&] { ran.push_back(1); });
+    EXPECT_EQ(loop.pending_timers(), 1u);
+    while (ran.size() < 3) {
+      loop.poll(100'000);
+      EXPECT_LE(loop.pending_timers(), 1u);
+    }
+    EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
+    EXPECT_GE(loop.clock().now_us() - t0, 30'000) << "ran ahead of time";
+    EXPECT_EQ(loop.pending_timers(), 0u) << "idle sim, yet armed";
+    sim.schedule_after(1'000'000, [] {});
+    EXPECT_EQ(loop.pending_timers(), 1u);
+  }
+  // Destroyed: the timer is cancelled and the head hook detached, so a
+  // new bridge may take the simulation over.
+  EXPECT_EQ(loop.pending_timers(), 0u);
+  EXPECT_NO_THROW(server::ClockBridge again(sim, loop));
 }
 
 }  // namespace

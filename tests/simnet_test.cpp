@@ -93,6 +93,53 @@ TEST(Simulation, ClockViewTracksVirtualTime) {
   EXPECT_EQ(clock.now_us(), 12345);
 }
 
+TEST(Simulation, HeadHookFiresOnlyForANewEarliestEvent) {
+  Simulation sim(1);
+  std::vector<Micros> heads;
+  sim.set_head_hook([&](Micros t) { heads.push_back(t); });
+  sim.schedule_at(100, [] {});  // empty queue: the new head
+  sim.schedule_at(200, [] {});  // behind the head
+  sim.schedule_at(100, [] {});  // ties the head, fires after it
+  EXPECT_EQ(heads, (std::vector<Micros>{100}));
+  sim.schedule_at(50, [] {});  // the new head
+  EXPECT_EQ(heads, (std::vector<Micros>{100, 50}));
+  ASSERT_TRUE(sim.step());  // runs 50; 100 is the head again
+  sim.schedule_at(150, [] {});
+  EXPECT_EQ(heads, (std::vector<Micros>{100, 50}));
+  sim.run();
+  sim.schedule_after(10, [] {});  // drained queue: the new head
+  EXPECT_EQ(heads, (std::vector<Micros>{100, 50, 210}));
+}
+
+TEST(Simulation, OneHeadHookAtATime) {
+  Simulation sim(1);
+  sim.set_head_hook([](Micros) {});
+  EXPECT_THROW(sim.set_head_hook([](Micros) {}), Error);
+  sim.set_head_hook(nullptr);
+  EXPECT_NO_THROW(sim.set_head_hook([](Micros) {}));
+}
+
+TEST(Simulation, EventsAreMovedNotCopiedOutOfTheQueue) {
+  // Counts copies of a captured payload: running an event must move it
+  // out of the queue, captures and all.
+  struct Payload {
+    int* copies;
+    explicit Payload(int* c) : copies(c) {}
+    Payload(const Payload& other) : copies(other.copies) { ++*copies; }
+    Payload(Payload&&) noexcept = default;
+  };
+  Simulation sim(1);
+  int copies = 0;
+  int ran = 0;
+  for (int i = 0; i < 8; ++i) {
+    sim.schedule_at(100 - i, [p = Payload(&copies), &ran] { ++ran; });
+  }
+  const int scheduled = copies;
+  sim.run();
+  EXPECT_EQ(ran, 8);
+  EXPECT_EQ(copies, scheduled);
+}
+
 TEST(Simulation, DeterministicAcrossRunsWithSameSeed) {
   auto sample = [](std::uint64_t seed) {
     Simulation sim(seed);

@@ -264,7 +264,8 @@ std::vector<std::string> shape_over_tcp() {
   auto bed = provisioned_bed();
   net::EventLoop loop;
   net::TcpTransport secure_tr(loop, "127.0.0.1", 0);
-  server::NetGateway gateway(secure_tr, nullptr, bed->server());
+  server::ClockBridge bridge(bed->sim(), loop);
+  server::NetGateway gateway(secure_tr, nullptr, bed->server(), &bridge);
 
   net::TcpTransport dial(loop, "127.0.0.1", secure_tr.local_port());
   net::RpcClient rpc(dial, 30'000'000);

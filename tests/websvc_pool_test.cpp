@@ -158,7 +158,7 @@ TEST(ConnectionPool, EvictsIdleConnectionsAndResumesOnRedial) {
   w.await(first);
   EXPECT_EQ(pool.open_connections(), 1u);
 
-  // Idle past the timeout: the timer-wheel sweep tears the entry down.
+  // Idle past the timeout: the timer sweep tears the entry down.
   const Micros deadline = w.loop.clock().now_us() + 10'000'000;
   while (pool.open_connections() > 0) {
     ASSERT_LT(w.loop.clock().now_us(), deadline) << "idle eviction stalled";
