@@ -53,7 +53,7 @@
 
 #include "client/browser.h"
 #include "crypto/drbg.h"
-#include "eval/sharded_testbed.h"
+#include "eval/deployment.h"
 #include "eval/testbed.h"
 #include "net/event_loop.h"
 #include "net/rpc.h"
@@ -353,7 +353,7 @@ void warm_up_browsers(net::EventLoop& loop,
 
 /// cold / resumed: per-browser-client phases where every timed operation
 /// re-establishes the secure channel (full handshake vs ticket resume).
-void run_browser_mode(net::EventLoop& loop, eval::ShardedTcpTestbed& st,
+void run_browser_mode(net::EventLoop& loop, eval::Deployment& st,
                       const std::string& mode, int conc,
                       const ShardCounters& sc, std::vector<PhaseRow>& rows,
                       std::uint64_t& next_seed) {
@@ -406,7 +406,7 @@ void run_browser_mode(net::EventLoop& loop, eval::ShardedTcpTestbed& st,
 /// pooled: raw HTTP clients (one cookie jar per user) multiplexed over a
 /// single bounded ConnectionPool; extra dials resume from the pool's
 /// shared ticket cache.
-void run_pooled_mode(net::EventLoop& loop, eval::ShardedTcpTestbed& st,
+void run_pooled_mode(net::EventLoop& loop, eval::Deployment& st,
                      int conc, const ShardCounters& sc,
                      std::vector<PhaseRow>& rows, std::uint64_t& next_seed) {
   crypto::ChaChaDrbg rng(next_seed++);
@@ -498,25 +498,25 @@ void run_pooled_mode(net::EventLoop& loop, eval::ShardedTcpTestbed& st,
 int run_shard_matrix(std::size_t shards,
                      const std::vector<std::string>& modes,
                      std::vector<PhaseRow>& rows, std::uint64_t& next_seed) {
-  eval::ShardedTcpConfig sc_config;
+  eval::DeploymentConfig sc_config;
   sc_config.shards = shards;
-  sc_config.seed = 1;
+  sc_config.transport = eval::Transport::kTcp;
   sc_config.base = bench_config();
-  eval::ShardedTcpTestbed st(sc_config);
+  eval::Deployment st(sc_config);
 
   const int max_conc = *std::max_element(kConcurrency.begin(),
                                          kConcurrency.end());
-  for (std::size_t k = 0; k < st.shards(); ++k) flatten_links(st.bed(k));
+  for (std::size_t k = 0; k < st.worlds(); ++k) flatten_links(st.world(k));
   // One user per client slot, provisioned on its owner bed while the
   // deployment is still single-threaded; each then pins one account.
   for (int i = 0; i < max_conc; ++i) {
     const std::string user = bench_user(i);
-    if (Status s = st.provision(user, kMasterPassword); !s.ok()) {
+    eval::Testbed& owner = st.world_of(user);
+    if (Status s = owner.provision(user, kMasterPassword); !s.ok()) {
       std::fprintf(stderr, "FAILED: provision %s: %s\n", user.c_str(),
                    s.message().c_str());
       return 1;
     }
-    eval::Testbed& owner = st.bed(st.owner_of(user));
     if (Status s = owner.add_account(kAccountUser, kAccountDomain); !s.ok()) {
       std::fprintf(stderr, "FAILED: add_account %s: %s\n", user.c_str(),
                    s.message().c_str());
@@ -526,8 +526,8 @@ int run_shard_matrix(std::size_t shards,
   st.start();
 
   ShardCounters sc;
-  for (std::size_t k = 0; k < st.shards(); ++k) {
-    obs::MetricsRegistry& m = st.bed(k).server().metrics();
+  for (std::size_t k = 0; k < st.servers(); ++k) {
+    obs::MetricsRegistry& m = st.server(k).metrics();
     sc.rx.push_back(&m.counter("net.bytes_rx"));
     sc.tx.push_back(&m.counter("net.bytes_tx"));
     sc.handshakes.push_back(&m.counter("securechan.handshakes"));

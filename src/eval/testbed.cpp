@@ -81,44 +81,6 @@ std::unique_ptr<client::Browser> Testbed::make_browser(
   return browser;
 }
 
-namespace {
-
-/// Runs the loop until the wrapped callback has fired; guards against a
-/// lost callback with an event cap.
-template <typename T>
-class Waiter {
- public:
-  explicit Waiter(simnet::Simulation& sim) : sim_(sim) {}
-
-  std::function<void(T)> capture() {
-    return [this](T value) {
-      result_ = std::make_unique<T>(std::move(value));
-    };
-  }
-
-  T wait() {
-    // Step until the callback fires; pending unrelated timers (e.g. the
-    // 30 s phone-wait guard of an already-answered request) stay queued
-    // and fire later as no-ops, as they would in a live system.
-    std::size_t steps = 0;
-    while (!result_ && sim_.step()) {
-      if (++steps > 10'000'000) {
-        throw ProtocolError("Testbed: event budget exceeded");
-      }
-    }
-    if (!result_) {
-      throw ProtocolError("Testbed: operation never completed");
-    }
-    return std::move(*result_);
-  }
-
- private:
-  simnet::Simulation& sim_;
-  std::unique_ptr<T> result_;
-};
-
-}  // namespace
-
 Status Testbed::signup(const std::string& user, const std::string& mp) {
   Waiter<Status> waiter(*sim_);
   browser_->signup(user, mp, waiter.capture());

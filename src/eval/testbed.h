@@ -12,11 +12,13 @@
 // readable; everything underneath is the real asynchronous protocol code.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "client/browser.h"
 #include "cloud/blob_store.h"
+#include "common/error.h"
 #include "crypto/drbg.h"
 #include "phone/app.h"
 #include "rendezvous/push_service.h"
@@ -35,6 +37,39 @@ struct TestbedConfig {
   server::AmnesiaServerConfig server{};
   phone::PhoneAppConfig phone{};  // node ids/keys are filled in by Testbed
   bool auto_provision_cloud_account = true;
+};
+
+/// Steps `sim` until the callback from capture() has fired; guards
+/// against a lost callback with an event cap. Pending unrelated timers
+/// (e.g. the 30 s phone-wait guard of an already-answered request) stay
+/// queued and fire later as no-ops, as they would in a live system.
+template <typename T>
+class Waiter {
+ public:
+  explicit Waiter(simnet::Simulation& sim) : sim_(sim) {}
+
+  std::function<void(T)> capture() {
+    return [this](T value) {
+      result_ = std::make_unique<T>(std::move(value));
+    };
+  }
+
+  T wait() {
+    std::size_t steps = 0;
+    while (!result_ && sim_.step()) {
+      if (++steps > 10'000'000) {
+        throw ProtocolError("Testbed: event budget exceeded");
+      }
+    }
+    if (!result_) {
+      throw ProtocolError("Testbed: operation never completed");
+    }
+    return std::move(*result_);
+  }
+
+ private:
+  simnet::Simulation& sim_;
+  std::unique_ptr<T> result_;
 };
 
 class Testbed {

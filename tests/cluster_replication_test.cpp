@@ -4,8 +4,9 @@
 // log, and epoch fencing of a stale primary.
 //
 // Everything here runs on the deterministic simulated transport; the
-// mid-protocol failover scenarios (including the real-TCP variant) live
-// in cluster_failover_test.cpp.
+// mid-protocol failover drill runs on both transports in
+// deployment_matrix_test.cpp, its seeded replays in
+// cluster_failover_test.cpp.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,7 +16,7 @@
 #include "cluster/node.h"
 #include "cluster/replication.h"
 #include "common/error.h"
-#include "eval/replicated_testbed.h"
+#include "eval/deployment.h"
 #include "testutil.h"
 
 namespace amnesia {
@@ -28,8 +29,8 @@ using cluster::ReplMessage;
 using cluster::ReplOp;
 using cluster::ReplReply;
 using cluster::ReplStatus;
-using eval::ReplicatedSimConfig;
-using eval::ReplicatedSimTestbed;
+using eval::Deployment;
+using eval::DeploymentConfig;
 
 obs::TraceSpan sample_span() {
   obs::TraceSpan span;
@@ -164,9 +165,10 @@ TEST(ReplicationCodec, BitFlipFuzzNeverCrashes) {
 // Live shipping between replicas over the simulated transport.
 
 TEST(ClusterShipping, RecordsReachFollowerAndStatesConverge) {
-  ReplicatedSimTestbed bed;
-  eval::Testbed& world = bed.bed();
-  world.browser().set_tracer(&bed.replica(0).metrics().tracer());
+  Deployment bed({.replicas = 2});
+  bed.start();
+  eval::Testbed& world = bed.world();
+  world.browser().set_tracer(&bed.server(0).metrics().tracer());
 
   ASSERT_TRUE(world.provision("Alice", "correct horse").ok());
   ASSERT_TRUE(world.add_account("Alice", "example.com").ok());
@@ -181,16 +183,16 @@ TEST(ClusterShipping, RecordsReachFollowerAndStatesConverge) {
 
   // The follower's database is byte-identical to the primary's: same
   // tables, same rows, same commit offset.
-  EXPECT_EQ(bed.replica(1).db().raw().encode_state(),
-            bed.replica(0).db().raw().encode_state());
-  EXPECT_EQ(bed.replica(1).db().raw().commit_offset(),
-            bed.replica(0).db().raw().commit_offset());
+  EXPECT_EQ(bed.server(1).db().raw().encode_state(),
+            bed.server(0).db().raw().encode_state());
+  EXPECT_EQ(bed.server(1).db().raw().commit_offset(),
+            bed.server(0).db().raw().commit_offset());
 
   // The login's trace tree shipped too: the follower can serve the
   // whole tree (span ends are imported; phone.confirm reported straight
   // into its registry by the testbed wiring).
   const auto spans =
-      bed.replica(1).metrics().tracer().trace(world.browser().last_trace_id());
+      bed.server(1).metrics().tracer().trace(world.browser().last_trace_id());
   EXPECT_FALSE(spans.empty());
   bool saw_generate = false;
   for (const auto& s : spans) saw_generate |= s.name == "server.generate";
@@ -203,10 +205,11 @@ TEST(ClusterShipping, RecordsReachFollowerAndStatesConverge) {
 }
 
 TEST(ClusterShipping, FollowerPastLogHorizonCatchesUpViaSnapshot) {
-  ReplicatedSimConfig config;
+  DeploymentConfig config{.replicas = 2};
   config.cluster.log_cap = 8;  // force the horizon within one provision
-  ReplicatedSimTestbed bed(config);
-  eval::Testbed& world = bed.bed();
+  Deployment bed(config);
+  bed.start();
+  eval::Testbed& world = bed.world();
 
   // Partition the follower's replication endpoint, then generate far
   // more than log_cap records: the bounded log must trim past the
@@ -223,22 +226,23 @@ TEST(ClusterShipping, FollowerPastLogHorizonCatchesUpViaSnapshot) {
   EXPECT_GE(bed.node(0).stats().snapshots_sent, 1u);
   EXPECT_GE(bed.node(1).stats().snapshots_installed, 1u);
   EXPECT_EQ(bed.node(1).log_seq(), bed.node(0).log_seq());
-  EXPECT_EQ(bed.replica(1).db().raw().encode_state(),
-            bed.replica(0).db().raw().encode_state());
+  EXPECT_EQ(bed.server(1).db().raw().encode_state(),
+            bed.server(0).db().raw().encode_state());
 
   // And shipping keeps working incrementally after the snapshot.
   ASSERT_TRUE(world.add_account("Alice", "late.example").ok());
   ASSERT_TRUE(bed.run_until([&] { return bed.node(0).replication_lag() == 0; },
                             10'000'000));
-  EXPECT_EQ(bed.replica(1).db().raw().encode_state(),
-            bed.replica(0).db().raw().encode_state());
+  EXPECT_EQ(bed.server(1).db().raw().encode_state(),
+            bed.server(0).db().raw().encode_state());
 }
 
 // ---------------------------------------------------------------------
 // Hostile inbound replication traffic.
 
 TEST(ClusterHostile, GarbageReplTrafficGetsGapNotCrash) {
-  ReplicatedSimTestbed bed;
+  Deployment bed({.replicas = 2});
+  bed.start();
   ASSERT_TRUE(bed.run_until([&] { return bed.node(0).replication_lag() == 0; },
                             5'000'000));
   const std::uint64_t applied = bed.node(1).log_seq();
@@ -264,7 +268,8 @@ TEST(ClusterHostile, GarbageReplTrafficGetsGapNotCrash) {
 }
 
 TEST(ClusterHostile, AppendFromMismatchedBaseGetsGap) {
-  ReplicatedSimTestbed bed;
+  Deployment bed({.replicas = 2});
+  bed.start();
   ASSERT_TRUE(bed.run_until([&] { return bed.node(0).replication_lag() == 0; },
                             5'000'000));
   const std::uint64_t applied = bed.node(1).log_seq();
@@ -281,7 +286,8 @@ TEST(ClusterHostile, AppendFromMismatchedBaseGetsGap) {
 }
 
 TEST(ClusterHostile, DeadNodeNeverResponds) {
-  ReplicatedSimTestbed bed;
+  Deployment bed({.replicas = 2});
+  bed.start();
   bed.node(1).crash();
   bool responded = false;
   bed.node(1).handle_repl(cluster::encode_heartbeat(1, 0),
@@ -294,7 +300,8 @@ TEST(ClusterHostile, DeadNodeNeverResponds) {
 // Epoch fencing: a primary that learns of a higher epoch steps down.
 
 TEST(ClusterFencing, StalePrimaryStepsDownOnHigherEpochReply) {
-  ReplicatedSimTestbed bed;
+  Deployment bed({.replicas = 2});
+  bed.start();
   ASSERT_TRUE(bed.run_until([&] { return bed.node(0).replication_lag() == 0; },
                             5'000'000));
   ASSERT_EQ(bed.node(0).role(), ClusterNode::Role::kPrimary);
@@ -311,7 +318,7 @@ TEST(ClusterFencing, StalePrimaryStepsDownOnHigherEpochReply) {
       5'000'000));
   EXPECT_FALSE(bed.node(0).dead());
   EXPECT_GE(
-      bed.replica(0).metrics().counter("cluster.fenced").value(), 1u);
+      bed.server(0).metrics().counter("cluster.fenced").value(), 1u);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 
 #include "client/browser.h"
 #include "crypto/drbg.h"
-#include "eval/sharded_testbed.h"
+#include "eval/deployment.h"
 #include "eval/testbed.h"
 #include "net/event_loop.h"
 #include "net/rpc.h"
@@ -232,14 +232,14 @@ TEST(ObsProfiler, ArmedDuringStorageChurn) {
 TEST(ObsProfilerShardedTcp, MergedProfileNamesCryptoWork) {
   if (!Profiler::supported()) GTEST_SKIP() << "no profiler on this platform";
   Profiler::instance().clear();
-  eval::ShardedTcpConfig config;
+  eval::DeploymentConfig config;
   config.shards = 2;
-  config.seed = 211;
-  eval::ShardedTcpTestbed st(config);
-  ASSERT_TRUE(st.provision("alice", "correct horse").ok());
-  ASSERT_TRUE(st.bed(st.owner_of("alice"))
-                  .add_account("acct", "alice.example.com")
-                  .ok());
+  config.transport = eval::Transport::kTcp;
+  config.base.seed = 211;
+  eval::Deployment st(config);
+  eval::Testbed& owner = st.world_of("alice");
+  ASSERT_TRUE(owner.provision("alice", "correct horse").ok());
+  ASSERT_TRUE(owner.add_account("acct", "alice.example.com").ok());
   st.start();
   // The testbed armed the default 500 Hz; re-arm faster so a few dozen
   // login rounds are enough signal.

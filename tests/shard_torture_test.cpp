@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/error.h"
-#include "eval/sharded_testbed.h"
+#include "eval/deployment.h"
 #include "eval/testbed.h"
 #include "obs/metrics.h"
 #include "resilience/fault.h"
@@ -22,8 +22,8 @@
 namespace amnesia {
 namespace {
 
-using eval::ShardedSimConfig;
-using eval::ShardedSimTestbed;
+using eval::Deployment;
+using eval::DeploymentConfig;
 using resilience::FaultInjector;
 using resilience::FaultKind;
 using resilience::FaultRule;
@@ -41,8 +41,8 @@ std::uint64_t mix(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-ShardedSimConfig torture_config(std::uint64_t seed) {
-  ShardedSimConfig config;
+DeploymentConfig torture_config(std::uint64_t seed) {
+  DeploymentConfig config;
   config.shards = 4;
   config.base.seed = seed;
   // Fast degraded-mode cadence: polls every 400 ms of virtual time, and a
@@ -59,8 +59,9 @@ TEST(ShardTorture, MailboxFaultsNeverCorruptOrDuplicate) {
   const std::uint64_t seed = 0x5eedc0ffee;  // printed on failure below
   SCOPED_TRACE("torture seed " + std::to_string(seed));
 
-  ShardedSimTestbed st(torture_config(seed));
-  eval::Testbed& bed = st.bed();
+  Deployment st(torture_config(seed));
+  st.start();
+  eval::Testbed& bed = st.world();
 
   // Fault-free phase: provision everyone and capture the ground-truth
   // password each user's account must regenerate forever after.
@@ -128,8 +129,8 @@ TEST(ShardTorture, MailboxFaultsNeverCorruptOrDuplicate) {
   EXPECT_GT(injector.fire_count(), 0u) << "no mailbox fault ever fired";
   std::uint64_t dropped = 0;
   std::uint64_t forwarded = 0;
-  for (std::size_t k = 0; k < st.shards(); ++k) {
-    auto snap = st.shard(k).metrics().snapshot();
+  for (std::size_t k = 0; k < st.servers(); ++k) {
+    auto snap = st.server(k).metrics().snapshot();
     dropped += snap.counters["shard.mailbox_dropped"];
     forwarded += snap.counters["shard.forwarded_in"];
   }
@@ -147,9 +148,9 @@ TEST(ShardTorture, MailboxFaultsNeverCorruptOrDuplicate) {
       << "parked entries are re-delivered until TTL; dedupe must see them";
   std::uint64_t generated = 0;
   std::uint64_t tokens_accepted = 0;
-  for (std::size_t k = 0; k < st.shards(); ++k) {
-    generated += st.shard(k).stats().passwords_generated;
-    tokens_accepted += st.shard(k).stats().tokens_accepted;
+  for (std::size_t k = 0; k < st.servers(); ++k) {
+    generated += st.server(k).stats().passwords_generated;
+    tokens_accepted += st.server(k).stats().tokens_accepted;
   }
   EXPECT_GE(generated, completed + kUsers.size());
   // Compared against tokens the servers *accepted*, not the phone's acked
@@ -162,8 +163,9 @@ TEST(ShardTorture, MailboxFaultsNeverCorruptOrDuplicate) {
 TEST(ShardTorture, ErrorFaultsSurfaceAsRetryableServerErrors) {
   // With kError pinned at probability 1 on the forward leg, a cross-shard
   // login must fail fast with the mailbox 503 — not hang, not succeed.
-  ShardedSimTestbed st(torture_config(7));
-  eval::Testbed& bed = st.bed();
+  Deployment st(torture_config(7));
+  st.start();
+  eval::Testbed& bed = st.world();
   // alice hashes to shard 3: her login always crosses from shard 0.
   ASSERT_NE(st.owner_of("alice"), 0u);
   ASSERT_TRUE(bed.provision("alice", kMp).ok());

@@ -6,84 +6,31 @@
 // resolution path over the merged shard snapshot.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/error.h"
 #include "crypto/drbg.h"
-#include "eval/sharded_testbed.h"
+#include "eval/deployment.h"
 #include "eval/testbed.h"
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
 #include "obs/trace.h"
-#include "securechan/channel.h"
 #include "simnet/link.h"
-#include "simnet/node.h"
-#include "websvc/client.h"
+#include "testutil.h"
 #include "websvc/http.h"
 
 namespace amnesia {
 namespace {
 
-using eval::ShardedSimConfig;
-using eval::ShardedSimTestbed;
+using eval::Deployment;
+using eval::DeploymentConfig;
 using eval::Testbed;
 using eval::TestbedConfig;
 using obs::SlowLog;
 using obs::SlowLogEntry;
+using testutil::OpsClient;
 
 constexpr const char* kMp = "one master password";
-
-/// Runs the simulation until the captured callback fires.
-template <typename T>
-class Waiter {
- public:
-  explicit Waiter(simnet::Simulation& sim) : sim_(sim) {}
-
-  std::function<void(T)> capture() {
-    return [this](T value) { result_ = std::make_unique<T>(std::move(value)); };
-  }
-
-  T wait() {
-    std::size_t steps = 0;
-    while (!result_ && sim_.step()) {
-      if (++steps > 10'000'000) throw Error("waiter: event budget exceeded");
-    }
-    if (!result_) throw Error("waiter: operation never completed");
-    return std::move(*result_);
-  }
-
- private:
-  simnet::Simulation& sim_;
-  std::unique_ptr<T> result_;
-};
-
-/// A raw secure-channel HTTP client dialing one server node — operator
-/// tooling's view of the deployment.
-struct OpsClient {
-  simnet::Node node;
-  securechan::SecureClient chan;
-  websvc::HttpClient http;
-
-  OpsClient(Testbed& bed, RandomSource& rng,
-            const std::string& name = "ops-client",
-            const std::string& target = "amnesia-server")
-      : node(bed.net(), name),
-        chan(node, target, bed.server().public_key(), rng),
-        http([this](Bytes wire, std::function<void(Result<Bytes>)> cb) {
-          chan.request(std::move(wire), std::move(cb));
-        }) {}
-
-  websvc::Response get(simnet::Simulation& sim, const std::string& path) {
-    Waiter<Result<websvc::Response>> waiter(sim);
-    http.get(path, waiter.capture());
-    const auto r = waiter.wait();
-    EXPECT_TRUE(r.ok()) << path;
-    return r.ok() ? r.value() : websvc::Response{};
-  }
-};
 
 // ------------------------------------------------------ ring semantics
 
@@ -223,68 +170,68 @@ TEST(SlowLogE2e, FastRoundsStayOutOfTheRecorder) {
 // --------------------------------------------- sharded aggregate view
 
 TEST(SlowLogSharded, AggregateSlowlogConcatenatesEveryShard) {
-  ShardedSimConfig config;
-  config.shards = 2;
+  DeploymentConfig config{.shards = 2};
   config.base.seed = 93;
   // A 1 ms SLO makes every real round slow: both shards record entries
   // without needing per-shard link surgery.
   config.base.server.slow_request_slo_us = 1'000;
-  ShardedSimTestbed st(config);
+  Deployment st(config);
+  st.start();
   ASSERT_NE(st.owner_of("alice"), st.owner_of("bob"));
   for (const std::string user : {"alice", "bob"}) {
-    ASSERT_TRUE(st.bed().provision(user, kMp).ok()) << user;
-    ASSERT_TRUE(st.bed().add_account("A", "site.example.com").ok());
-    ASSERT_TRUE(st.bed().get_password("A", "site.example.com").ok());
+    ASSERT_TRUE(st.world().provision(user, kMp).ok()) << user;
+    ASSERT_TRUE(st.world().add_account("A", "site.example.com").ok());
+    ASSERT_TRUE(st.world().get_password("A", "site.example.com").ok());
   }
-  for (std::size_t k = 0; k < st.shards(); ++k) {
-    EXPECT_FALSE(st.shard(k).slowlog().snapshot().empty())
+  for (std::size_t k = 0; k < st.servers(); ++k) {
+    EXPECT_FALSE(st.server(k).slowlog().snapshot().empty())
         << "shard " << k << " served a round and must have recorded it";
   }
 
   crypto::ChaChaDrbg rng(19);
-  OpsClient ops(st.bed(), rng);
-  const auto resp = ops.get(st.bed().sim(), "/slowlog");
+  OpsClient ops(st.world(), rng);
+  const auto resp = ops.get(st.world().sim(), "/slowlog");
   ASSERT_EQ(resp.status, 200);
   // Every shard's entries ride in one response: each shard recorded a
   // login whose trace id must appear in the aggregate body.
-  for (std::size_t k = 0; k < st.shards(); ++k) {
-    for (const auto& e : st.shard(k).slowlog().snapshot()) {
+  for (std::size_t k = 0; k < st.servers(); ++k) {
+    for (const auto& e : st.server(k).slowlog().snapshot()) {
       EXPECT_NE(resp.body.find(obs::trace_id_hex(e.trace_id)),
                 std::string::npos)
           << "shard " << k << " entry missing from aggregate /slowlog";
     }
   }
   // Malformed queries are vetoed by the legs and propagate as one 400.
-  EXPECT_EQ(ops.get(st.bed().sim(), "/slowlog?since=banana").status, 400);
+  EXPECT_EQ(ops.get(st.world().sim(), "/slowlog?since=banana").status, 400);
 }
 
 // ------------------------------------------------ /events filters
 
 TEST(EventsFilters, LevelAndSinceAreStrictAndBounded) {
-  ShardedSimConfig config;
-  config.shards = 2;
+  DeploymentConfig config{.shards = 2};
   config.base.seed = 94;
-  ShardedSimTestbed st(config);
-  ASSERT_TRUE(st.bed().provision("alice", kMp).ok());
+  Deployment st(config);
+  st.start();
+  ASSERT_TRUE(st.world().provision("alice", kMp).ok());
 
   // Seed both shards' logs with known records at known severities.
-  st.shard(0).metrics().events().emit(obs::EventLevel::kInfo, "test",
+  st.server(0).metrics().events().emit(obs::EventLevel::kInfo, "test",
                                       "info-on-shard-0");
-  st.shard(0).metrics().events().emit(obs::EventLevel::kError, "test",
+  st.server(0).metrics().events().emit(obs::EventLevel::kError, "test",
                                       "error-on-shard-0");
-  st.shard(1).metrics().events().emit(obs::EventLevel::kWarn, "test",
+  st.server(1).metrics().events().emit(obs::EventLevel::kWarn, "test",
                                       "warn-on-shard-1");
 
   crypto::ChaChaDrbg rng(23);
-  OpsClient ops(st.bed(), rng);
+  OpsClient ops(st.world(), rng);
 
-  const auto all = ops.get(st.bed().sim(), "/events");
+  const auto all = ops.get(st.world().sim(), "/events");
   ASSERT_EQ(all.status, 200);
   EXPECT_NE(all.body.find("info-on-shard-0"), std::string::npos);
   EXPECT_NE(all.body.find("error-on-shard-0"), std::string::npos);
   EXPECT_NE(all.body.find("warn-on-shard-1"), std::string::npos);
 
-  const auto warns = ops.get(st.bed().sim(), "/events?level=warn");
+  const auto warns = ops.get(st.world().sim(), "/events?level=warn");
   ASSERT_EQ(warns.status, 200);
   EXPECT_EQ(warns.body.find("info-on-shard-0"), std::string::npos)
       << "level filter must drop records below the floor";
@@ -293,54 +240,39 @@ TEST(EventsFilters, LevelAndSinceAreStrictAndBounded) {
 
   // since far in the virtual future: nothing qualifies, on any shard.
   const auto none =
-      ops.get(st.bed().sim(), "/events?since=999999999999");
+      ops.get(st.world().sim(), "/events?since=999999999999");
   ASSERT_EQ(none.status, 200);
   EXPECT_EQ(none.body.find("-on-shard-"), std::string::npos);
 
   // Hostile query values are rejected with 400, exactly like the trace
   // codec rejects malformed ids: no guessing, no coercion.
-  EXPECT_EQ(ops.get(st.bed().sim(), "/events?level=WARN").status, 400)
+  EXPECT_EQ(ops.get(st.world().sim(), "/events?level=WARN").status, 400)
       << "level names are exact, not case-folded";
-  EXPECT_EQ(ops.get(st.bed().sim(), "/events?level=warn%3Bdrop").status,
+  EXPECT_EQ(ops.get(st.world().sim(), "/events?level=warn%3Bdrop").status,
             400);
-  EXPECT_EQ(ops.get(st.bed().sim(), "/events?since=-5").status, 400);
+  EXPECT_EQ(ops.get(st.world().sim(), "/events?since=-5").status, 400);
   EXPECT_EQ(
-      ops.get(st.bed().sim(), "/events?since=11111111111111111111111111")
+      ops.get(st.world().sim(), "/events?since=11111111111111111111111111")
           .status,
       400);
 }
 
 // ------------------------------------- exemplar -> /trace resolution
 
-/// Connected: exactly one root, every other span's parent is present.
-void expect_connected(const std::vector<obs::TraceSpan>& spans) {
-  std::map<obs::SpanId, const obs::TraceSpan*> index;
-  for (const auto& s : spans) index.emplace(s.id, &s);
-  std::size_t roots = 0;
-  for (const auto& s : spans) {
-    if (s.parent == 0) {
-      ++roots;
-    } else {
-      EXPECT_TRUE(index.contains(s.parent)) << s.name << " orphaned";
-    }
-  }
-  EXPECT_EQ(roots, 1u);
-}
-
 TEST(ExemplarResolution, MergedMetricsExemplarResolvesToConnectedTrace) {
-  ShardedSimConfig config;
-  config.shards = 2;
+  DeploymentConfig config{.shards = 2};
   config.base.seed = 95;
-  ShardedSimTestbed st(config);
+  Deployment st(config);
+  st.start();
   for (const std::string user : {"alice", "bob"}) {
-    ASSERT_TRUE(st.bed().provision(user, kMp).ok()) << user;
-    ASSERT_TRUE(st.bed().add_account("A", "site.example.com").ok());
-    ASSERT_TRUE(st.bed().get_password("A", "site.example.com").ok());
+    ASSERT_TRUE(st.world().provision(user, kMp).ok()) << user;
+    ASSERT_TRUE(st.world().add_account("A", "site.example.com").ok());
+    ASSERT_TRUE(st.world().get_password("A", "site.example.com").ok());
   }
 
   crypto::ChaChaDrbg rng(29);
-  OpsClient ops(st.bed(), rng);
-  const auto metrics = ops.get(st.bed().sim(), "/metrics");
+  OpsClient ops(st.world(), rng);
+  const auto metrics = ops.get(st.world().sim(), "/metrics");
   ASSERT_EQ(metrics.status, 200);
   const obs::Snapshot merged = obs::parse_text(metrics.body);
   const auto it = merged.histograms.find("protocol.round_latency_us");
@@ -354,18 +286,18 @@ TEST(ExemplarResolution, MergedMetricsExemplarResolvesToConnectedTrace) {
     EXPECT_EQ(ex.attr, "protocol.round");
     // The operator's jump: the exemplar's id fetches a real tree.
     const auto trace = ops.get(
-        st.bed().sim(), "/trace/" + obs::trace_id_hex(ex.trace_id));
+        st.world().sim(), "/trace/" + obs::trace_id_hex(ex.trace_id));
     ASSERT_EQ(trace.status, 200)
         << "exemplar trace must resolve via GET /trace/<id>";
     EXPECT_NE(trace.body.find("protocol.round"), std::string::npos);
     // And the tree is connected, merged across both shard tracers.
     std::vector<obs::TraceSpan> spans;
-    for (std::size_t k = 0; k < st.shards(); ++k) {
-      const auto part = st.shard(k).metrics().tracer().trace(ex.trace_id);
+    for (std::size_t k = 0; k < st.servers(); ++k) {
+      const auto part = st.server(k).metrics().tracer().trace(ex.trace_id);
       spans.insert(spans.end(), part.begin(), part.end());
     }
     ASSERT_FALSE(spans.empty());
-    expect_connected(spans);
+    EXPECT_TRUE(testutil::ConnectedSingleRoot(spans));
   }
 }
 

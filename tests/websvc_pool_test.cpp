@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "crypto/drbg.h"
-#include "eval/sharded_testbed.h"
+#include "eval/deployment.h"
 #include "net/event_loop.h"
 #include "obs/metrics.h"
 #include "websvc/client.h"
@@ -21,7 +21,7 @@ namespace {
 constexpr const char* kMp = "correct horse battery staple";
 
 struct PoolWorld {
-  eval::ShardedTcpTestbed st;
+  eval::Deployment st;
   net::EventLoop loop;
   crypto::ChaChaDrbg rng{4242};
   obs::MetricsRegistry metrics{&loop.clock()};
@@ -30,9 +30,10 @@ struct PoolWorld {
 
   explicit PoolWorld(std::size_t shards, std::uint64_t seed = 91)
       : st([&] {
-          eval::ShardedTcpConfig c;
+          eval::DeploymentConfig c;
           c.shards = shards;
-          c.seed = seed;
+          c.transport = eval::Transport::kTcp;
+          c.base.seed = seed;
           return c;
         }()) {}
 
@@ -71,15 +72,15 @@ struct PoolWorld {
  private:
   std::uint64_t sum_handshakes() {
     std::uint64_t total = 0;
-    for (std::size_t k = 0; k < st.shards(); ++k) {
-      total += st.bed(k).server().secure().stats().handshakes;
+    for (std::size_t k = 0; k < st.servers(); ++k) {
+      total += st.server(k).secure().stats().handshakes;
     }
     return total;
   }
   std::uint64_t sum_resumptions() {
     std::uint64_t total = 0;
-    for (std::size_t k = 0; k < st.shards(); ++k) {
-      total += st.bed(k).server().secure().stats().resumptions;
+    for (std::size_t k = 0; k < st.servers(); ++k) {
+      total += st.server(k).secure().stats().resumptions;
     }
     return total;
   }
@@ -186,7 +187,7 @@ TEST(ConnectionPool, PooledLoginsAcrossFourLiveReactors) {
   PoolWorld w(4);
   std::vector<std::string> users = {"alice", "bob", "carol", "dave"};
   for (const auto& user : users) {
-    ASSERT_TRUE(w.st.provision(user, kMp).ok()) << user;
+    ASSERT_TRUE(w.st.world_of(user).provision(user, kMp).ok()) << user;
   }
   w.start();
   ConnectionPool pool = w.make_pool();

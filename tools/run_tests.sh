@@ -71,20 +71,24 @@ run_perfbench() {
 # suites drive the multi-reactor deployment (SO_REUSEPORT acceptors, one
 # EventLoop thread per shard, cross-shard mailbox posts), which is the
 # most thread-heavy path in the tree. The cluster suites add the
-# replicated testbeds: the TCP failover test runs a whole two-replica
+# replicated deployments: the TCP rounds test runs a whole two-replica
 # cluster on a reactor thread while the main thread drives clients. The
-# profiler suites hammer SIGPROF delivery against concurrent scrapes and
-# the slowlog suites drive the sharded flight recorder, so both join.
-# obs_test brings the counter hammered by four threads at once.
-tsan_filter='net_|securechan_stream|obs_test|obs_trace|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|obs_profiler_|slowlog_'
+# deployment matrix runs every (shards, replicas) cell on reactor
+# threads too, including the TCP primary-crash drill at two and three
+# replicas. The profiler suites hammer SIGPROF delivery against
+# concurrent scrapes and the slowlog suites drive the sharded flight
+# recorder, so both join. obs_test brings the counter hammered by four
+# threads at once.
+tsan_filter='net_|securechan_stream|obs_test|obs_trace|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|deployment_|obs_profiler_|slowlog_'
 
 # Everything driven by resilience::FaultInjector plus the degraded-mode
-# end-to-end suites; cluster_ brings the mid-round primary-crash drills
-# and storage_codec_fuzz the hostile-bytes sweeps over the AMDB codecs;
-# obs_profiler_ includes the signal-safety smoke (profiler armed across
-# the storage torture schedules), slowlog_ the faulted-leg scrapes, and
-# net_rpc the hostile RPC frames.
-fault_filter='resilience_|storage_torture|net_tcp|net_rpc|rendezvous_cloud|obs_test|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|storage_codec_fuzz|obs_profiler_|slowlog_'
+# end-to-end suites; cluster_ brings the seeded primary-crash replays and
+# their torture sweep, deployment_ the crash drill on every replicated
+# cell over both transports, and storage_codec_fuzz the hostile-bytes
+# sweeps over the AMDB codecs; obs_profiler_ includes the signal-safety
+# smoke (profiler armed across the storage torture schedules), slowlog_
+# the faulted-leg scrapes, and net_rpc the hostile RPC frames.
+fault_filter='resilience_|storage_torture|net_tcp|net_rpc|rendezvous_cloud|obs_test|trace_propagation|shard_|securechan_resume|websvc_pool|cluster_|deployment_|storage_codec_fuzz|obs_profiler_|slowlog_'
 
 case "$mode" in
 plain)
