@@ -225,7 +225,7 @@ RogueRequestReport run_rogue_request(eval::Testbed& bed,
   const core::Request r = core::make_request(account, entry->seed);
   const core::PasswordRequestPush push{/*request_id=*/9999, r,
                                        /*origin_ip=*/"198.51.100.66",
-                                       /*tstart_us=*/0};
+                                       /*tstart_us=*/0, /*trace=*/""};
   bool delivered = false;
   mallory_push.push(*user->registration_id, push.encode(),
                     /*ttl_us=*/60'000'000,

@@ -1,5 +1,7 @@
 #include "core/charset.h"
 
+#include <array>
+
 namespace amnesia::core {
 
 namespace {
@@ -39,9 +41,13 @@ CharacterTable CharacterTable::from_categories(bool lowercase, bool uppercase,
 }
 
 CharacterTable CharacterTable::custom(const std::string& characters) {
+  std::array<bool, 256> seen{};
   std::string deduped;
-  for (char c : characters) {
-    if (deduped.find(c) == std::string::npos) deduped.push_back(c);
+  deduped.reserve(characters.size());
+  for (const char c : characters) {
+    bool& was_seen = seen[static_cast<unsigned char>(c)];
+    if (!was_seen) deduped.push_back(c);
+    was_seen = true;
   }
   return CharacterTable(std::move(deduped));
 }

@@ -150,6 +150,30 @@ std::optional<Bytes> open_record(const Bytes& key, const Bytes& iv,
   return out;
 }
 
+bool SeqWindow::fresh(std::uint64_t seq) const {
+  if (!any_ || seq > highest_) return true;
+  if (highest_ - seq >= kSize) return false;
+  return !bit(seq);
+}
+
+void SeqWindow::mark(std::uint64_t seq) {
+  if (!any_ || seq > highest_) {
+    if (!any_ || seq - highest_ >= kSize) {
+      bits_.fill(0);
+    } else {
+      // The slots the window slides over held numbers kSize lower, which
+      // now fall out of it.
+      for (std::uint64_t n = highest_; n != seq;) {
+        ++n;
+        bits_[(n % kSize) / 64] &= ~(std::uint64_t{1} << (n % 64));
+      }
+    }
+    highest_ = seq;
+    any_ = true;
+  }
+  bits_[(seq % kSize) / 64] |= std::uint64_t{1} << (seq % 64);
+}
+
 // ---------------------------------------------------------------- server
 
 SecureServer::SecureServer(crypto::X25519KeyPair static_keys,
@@ -261,7 +285,7 @@ void SecureServer::handle_wire(const Bytes& wire,
         return;
       }
       Channel& chan = it->second;
-      if (!chan.seen_client_seqs.insert(seq).second) {
+      if (!chan.client_seqs.fresh(seq)) {
         ++stats_.replays_rejected;
         if (metrics_) metrics_->counter("securechan.replays_rejected").inc();
         return;
@@ -274,6 +298,7 @@ void SecureServer::handle_wire(const Bytes& wire,
         if (metrics_) metrics_->counter("securechan.records_rejected").inc();
         return;
       }
+      chan.client_seqs.mark(seq);
       ++stats_.records_opened;
       if (metrics_) metrics_->counter("securechan.records_opened").inc();
       if (!handler_) return;
@@ -538,7 +563,7 @@ void SecureClient::send_record(Bytes plaintext, std::string trace,
           if (channel_id != channel_->channel_id) {
             throw FormatError("wrong channel id");
           }
-          if (!channel_->seen_server_seqs.insert(seq).second) {
+          if (!channel_->server_seqs.fresh(seq)) {
             cb(Result<Bytes>(Err::kVerificationFailed, "replayed record"));
             return;
           }
@@ -550,6 +575,7 @@ void SecureClient::send_record(Bytes plaintext, std::string trace,
                              "record authentication failed"));
             return;
           }
+          channel_->server_seqs.mark(seq);
           cb(Result<Bytes>(channel_->open_scratch));
         } catch (const FormatError& e) {
           cb(Result<Bytes>(Err::kVerificationFailed,
@@ -572,7 +598,7 @@ void SecureClient::install_session(std::uint64_t channel_id,
   Established est;
   est.channel_id = channel_id;
   est.keys = std::move(secrets.keys);
-  est.seen_server_seqs.insert(0);  // the confirm record
+  est.server_seqs.mark(0);  // the confirm record
   channel_ = std::move(est);
   handshake_in_flight_ = false;
   secure_wipe(resumption_secret_);

@@ -35,6 +35,19 @@
 // rotated-out key, replay, hostile bytes — answers resume_reject and the
 // client falls back transparently to a full handshake.
 //
+// Record replay window (RFC 4303 section 3.4.3): each end keeps, per
+// channel and direction, the highest authenticated sequence number and a
+// bitmap of the SeqWindow::kSize numbers below it. A data record is
+// checked against the window, then authenticated, and only then marked
+// as seen, so forged records leave no state behind. A repeat, or a
+// number older than the window, is a replay. The window must exceed how
+// far records of one channel arrive out of order: TCP keeps them in
+// order, but simulated links reorder within their jitter (up to 160 ms,
+// simnet::profiles()). The deepest reordering in the test suite and the
+// simulated benches is 7 numbers (bench_ablation_threads), so kSize =
+// 1024 leaves two orders of magnitude of headroom, for a fixed 128 bytes
+// per direction per channel.
+//
 // The optional trailing trace_str is a length-prefixed serialized
 // obs::TraceContext — plaintext record *metadata*, deliberately outside
 // both the sealed payload and the AAD, so a transport-level observer (or
@@ -42,12 +55,12 @@
 // material. It carries no secrets: ids only.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 
@@ -135,6 +148,29 @@ void seal_record_into(const Bytes& key, const Bytes& iv, std::uint64_t seq,
 bool open_record_into(const Bytes& key, const Bytes& iv, std::uint64_t seq,
                       ByteView aad, ByteView sealed, Bytes& out);
 
+/// One direction's record replay window (see the header comment).
+class SeqWindow {
+ public:
+  static constexpr std::uint64_t kSize = 1024;
+
+  /// False if `seq` is already marked or older than the window.
+  bool fresh(std::uint64_t seq) const;
+  /// Marks an authenticated `seq`; a number above the highest slides the
+  /// window up to it.
+  void mark(std::uint64_t seq);
+
+ private:
+  bool bit(std::uint64_t seq) const {
+    return (bits_[(seq % kSize) / 64] >> (seq % 64)) & 1u;
+  }
+
+  bool any_ = false;
+  std::uint64_t highest_ = 0;
+  // Ring bitmap: slot seq % kSize holds seq for the kSize numbers up to
+  // and including highest_.
+  std::array<std::uint64_t, kSize / 64> bits_{};
+};
+
 struct SecureServerStats {
   std::uint64_t handshakes = 0;
   std::uint64_t records_opened = 0;
@@ -193,7 +229,7 @@ class SecureServer {
   struct Channel {
     ChannelKeys keys;
     std::uint64_t send_seq = 1;  // 0 was the confirm record
-    std::set<std::uint64_t> seen_client_seqs;
+    SeqWindow client_seqs;
     // Reused seal/open scratch: steady-state records don't allocate.
     Bytes seal_scratch;
     Bytes open_scratch;
@@ -311,7 +347,7 @@ class SecureClient {
     std::uint64_t channel_id;
     ChannelKeys keys;
     std::uint64_t send_seq = 0;
-    std::set<std::uint64_t> seen_server_seqs;
+    SeqWindow server_seqs;
     // Reused seal/open scratch: steady-state records don't allocate.
     Bytes seal_scratch;
     Bytes open_scratch;

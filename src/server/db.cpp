@@ -138,15 +138,33 @@ std::optional<AccountRecord> DbHandler::get_account(
   return account_from_row(*row);
 }
 
+void DbHandler::visit_user_rows(
+    const std::string& table, const std::string& user,
+    const std::function<void(const Row&)>& fn) const {
+  // Every key of `user` starts with user\x1f (account_key). The range can
+  // also hold a user whose name extends `user` past a \x1f; the exact
+  // user check drops those rows.
+  db_.table(table).visit_prefix(user + "\x1f", [&](const Row& r) {
+    if (r[1].as_text() == user) fn(r);
+  });
+}
+
 std::vector<AccountRecord> DbHandler::list_accounts(
     const std::string& user) const {
   std::vector<AccountRecord> accounts;
-  for (const auto& row : db_.table("accounts").select([&](const Row& r) {
-         return r[1].as_text() == user;
-       })) {
-    accounts.push_back(account_from_row(row));
-  }
+  visit_user_rows("accounts", user, [&](const Row& r) {
+    accounts.push_back(account_from_row(r));
+  });
   return accounts;
+}
+
+void DbHandler::for_each_account_id(
+    const std::string& user,
+    const std::function<void(const std::string& username,
+                             const std::string& domain)>& fn) const {
+  visit_user_rows("accounts", user, [&](const Row& r) {
+    fn(r[2].as_text(), r[3].as_text());
+  });
 }
 
 bool DbHandler::remove_account(const std::string& user,
@@ -205,11 +223,9 @@ bool DbHandler::vault_set_ciphertext(const std::string& user,
 std::vector<DbHandler::VaultRecord> DbHandler::vault_list(
     const std::string& user) const {
   std::vector<VaultRecord> records;
-  for (const auto& row : db_.table("vault").select([&](const Row& r) {
-         return r[1].as_text() == user;
-       })) {
-    records.push_back(vault_from_row(row));
-  }
+  visit_user_rows("vault", user, [&](const Row& r) {
+    records.push_back(vault_from_row(r));
+  });
   return records;
 }
 

@@ -8,9 +8,13 @@
 //   accounts : key(pk)  | user | username | domain | seed | policy
 //
 // `key` is user\x1f domain\x1f username — the paper identifies accounts by
-// the (mu, d) pair within a user.
+// the (mu, d) pair within a user. One user's rows therefore sit together
+// in key order, and the per-user reads visit only that range. The server
+// keeps bytes below 0x20 out of user names, usernames and domains, so no
+// two users' keys can alias (docs/PROTOCOL.md).
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,7 +63,14 @@ class DbHandler {
   bool add_account(const AccountRecord& record);  // false if it exists
   std::optional<AccountRecord> get_account(const std::string& user,
                                            const core::AccountId& id) const;
+  /// The user's accounts in key order (domain, then username).
   std::vector<AccountRecord> list_accounts(const std::string& user) const;
+  /// Calls fn(username, domain) for each of the user's accounts, in
+  /// list_accounts order, without copying seeds or decoding policies.
+  void for_each_account_id(
+      const std::string& user,
+      const std::function<void(const std::string& username,
+                               const std::string& domain)>& fn) const;
   bool remove_account(const std::string& user, const core::AccountId& id);
   bool set_seed(const std::string& user, const core::AccountId& id,
                 const core::Seed& seed);
@@ -95,6 +106,10 @@ class DbHandler {
  private:
   static std::string account_key(const std::string& user,
                                  const core::AccountId& id);
+  /// Visits `user`'s rows of the accounts or vault table in key order.
+  void visit_user_rows(const std::string& table, const std::string& user,
+                       const std::function<void(const storage::Row&)>& fn)
+      const;
   static UserRecord user_from_row(const storage::Row& row);
   static AccountRecord account_from_row(const storage::Row& row);
   static VaultRecord vault_from_row(const storage::Row& row);

@@ -32,6 +32,23 @@ std::optional<std::string> need_field(
   return it->second;
 }
 
+/// need_field for a user name, account username or domain. These are
+/// joined with \x1f into storage keys (DbHandler::account_key) and listed
+/// with \t and \n between fields, so a byte below 0x20 in one could alias
+/// another user's key or split a listing line: such a value is a 400.
+std::optional<std::string> need_identifier(
+    const std::map<std::string, std::string>& form, const std::string& name,
+    const Responder& respond) {
+  auto value = need_field(form, name, respond);
+  if (value && std::ranges::any_of(*value, [](char c) {
+        return static_cast<unsigned char>(c) < 0x20;
+      })) {
+    respond(Response::error(400, "control byte in field: " + name));
+    return std::nullopt;
+  }
+  return value;
+}
+
 /// Strict decimal parse for observability query values (?ms=, ?since=):
 /// digits only, bounded length and magnitude. Anything else -> nullopt,
 /// which the endpoints turn into a 400 — hostile query strings are
@@ -338,7 +355,7 @@ std::optional<std::string> AmnesiaServer::require_auth(
 void AmnesiaServer::handle_signup(const Request& req,
                                   const Responder& respond) {
   const auto form = req.form();
-  const auto user = need_field(form, "user", respond);
+  const auto user = need_identifier(form, "user", respond);
   if (!user) return;
   const auto mp = need_field(form, "master_password", respond);
   if (!mp) return;
@@ -462,9 +479,9 @@ void AmnesiaServer::handle_accounts_add(const Request& req,
   const auto user = require_auth(req, respond);
   if (!user) return;
   const auto form = req.form();
-  const auto username = need_field(form, "username", respond);
+  const auto username = need_identifier(form, "username", respond);
   if (!username) return;
-  const auto domain = need_field(form, "domain", respond);
+  const auto domain = need_identifier(form, "domain", respond);
   if (!domain) return;
 
   core::PasswordPolicy policy;
@@ -490,11 +507,12 @@ void AmnesiaServer::handle_accounts_list(const Request& req,
                                          const Responder& respond) {
   const auto user = require_auth(req, respond);
   if (!user) return;
-  std::ostringstream body;
-  for (const auto& account : db_.list_accounts(*user)) {
-    body << account.id.username << '\t' << account.id.domain << '\n';
-  }
-  respond(Response::ok_text(body.str()));
+  std::string body;
+  db_.for_each_account_id(
+      *user, [&](const std::string& username, const std::string& domain) {
+        body.append(username).append(1, '\t').append(domain).append(1, '\n');
+      });
+  respond(Response::ok_text(std::move(body)));
 }
 
 void AmnesiaServer::handle_accounts_remove(const Request& req,
@@ -591,7 +609,9 @@ void AmnesiaServer::handle_password_request(const Request& req,
                           respond,
                           TokenPurpose::kGenerate,
                           /*chosen_password=*/"",
-                          session_token};
+                          session_token,
+                          /*round_span=*/{},
+                          /*wait_span=*/{}};
   begin_phone_round_trip(account->seed,
                          user_record->registration_id.value(),
                          req.header("X-Origin-IP").value_or("unknown"),
@@ -614,7 +634,8 @@ void AmnesiaServer::begin_phone_round_trip(const core::Seed& seed,
   pending.loop_delay_at_admission =
       metrics_.gauge("net.loop.dispatch_delay_us").value();
   const core::Request r = core::make_request(pending.account, seed);
-  core::PasswordRequestPush push_msg{request_id, r, origin_ip, tstart};
+  core::PasswordRequestPush push_msg{request_id, r, origin_ip, tstart,
+                                     /*trace=*/""};
 
   // One round span per bilateral round, parented under the browser's
   // request trace (the ambient http.server span); the push leg and the
@@ -1071,9 +1092,9 @@ void AmnesiaServer::handle_vault_store(const Request& req,
   const auto user = require_auth(req, respond);
   if (!user) return;
   const auto form = req.form();
-  const auto username = need_field(form, "username", respond);
+  const auto username = need_identifier(form, "username", respond);
   if (!username) return;
-  const auto domain = need_field(form, "domain", respond);
+  const auto domain = need_identifier(form, "domain", respond);
   if (!domain) return;
   const auto chosen = need_field(form, "chosen_password", respond);
   if (!chosen) return;
@@ -1098,7 +1119,9 @@ void AmnesiaServer::handle_vault_store(const Request& req,
                           respond,
                           TokenPurpose::kVaultStore,
                           *chosen,
-                          req.cookie("session").value_or("")};
+                          req.cookie("session").value_or(""),
+                          /*round_span=*/{},
+                          /*wait_span=*/{}};
   begin_phone_round_trip(record->seed, *user_record->registration_id,
                          req.header("X-Origin-IP").value_or("unknown"),
                          std::move(pending));
@@ -1131,7 +1154,9 @@ void AmnesiaServer::handle_vault_retrieve(const Request& req,
                           respond,
                           TokenPurpose::kVaultRetrieve,
                           "",
-                          req.cookie("session").value_or("")};
+                          req.cookie("session").value_or(""),
+                          /*round_span=*/{},
+                          /*wait_span=*/{}};
   begin_phone_round_trip(record->seed, *user_record->registration_id,
                          req.header("X-Origin-IP").value_or("unknown"),
                          std::move(pending));

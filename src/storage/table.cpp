@@ -115,6 +115,15 @@ std::vector<Row> Table::select(const Predicate& pred) const {
   return out;
 }
 
+void Table::visit_prefix(std::string_view prefix,
+                         const std::function<void(const Row&)>& fn) const {
+  if (schema_.columns[schema_.primary_key].type != ValueType::kText) return;
+  for (auto it = rows_.lower_bound(Value(std::string(prefix)));
+       it != rows_.end() && it->first.as_text().starts_with(prefix); ++it) {
+    fn(it->second);
+  }
+}
+
 std::vector<Row> Table::all() const {
   return select([](const Row&) { return true; });
 }

@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/value.h"
@@ -65,8 +66,16 @@ class Table {
   /// Removes every row matching `pred`; returns the count removed.
   std::size_t remove_if(const Predicate& pred);
 
-  /// All rows matching `pred`, in primary-key order.
+  /// All rows matching `pred`, in primary-key order. Scans and copies
+  /// every match: O(n). Prefer visit_prefix when the rows share a key
+  /// prefix.
   std::vector<Row> select(const Predicate& pred) const;
+
+  /// Calls `fn` on every row whose text primary key starts with `prefix`,
+  /// in primary-key order, without copying: O(log n + k) for k visited
+  /// rows. A table whose primary key is not text visits none.
+  void visit_prefix(std::string_view prefix,
+                    const std::function<void(const Row&)>& fn) const;
 
   /// All rows in primary-key order.
   std::vector<Row> all() const;

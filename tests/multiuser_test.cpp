@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "eval/testbed.h"
+#include "websvc/http.h"
 
 namespace amnesia::eval {
 namespace {
@@ -184,6 +185,136 @@ TEST(MultiUser, ThrottlingIsPerUser) {
                            [&](Status s) { bob_login = s; });
   world.bed.sim().run();
   EXPECT_TRUE(bob_login.ok());
+}
+
+/// One request straight into the server's HTTP layer under `user`'s
+/// session.
+websvc::Response SendAs(Testbed& bed, const std::string& user,
+                        websvc::Method method, const std::string& path) {
+  websvc::Request req;
+  req.method = method;
+  req.path = path;
+  req.headers["Cookie"] =
+      "session=" + bed.server().sessions().create(user);
+  Bytes reply;
+  bed.server().http().handle_bytes(websvc::serialize(req),
+                                   [&](Bytes b) { reply = std::move(b); });
+  bed.sim().run();
+  return websvc::parse_response(reply);
+}
+
+/// GET /accounts as the full scan of the accounts table would render it.
+std::string ScannedListing(const server::DbHandler& db,
+                           const std::string& user) {
+  std::string body;
+  for (const auto& row : db.raw().table("accounts").select(
+           [&](const storage::Row& r) { return r[1].as_text() == user; })) {
+    body += row[2].as_text() + '\t' + row[3].as_text() + '\n';
+  }
+  return body;
+}
+
+TEST(MultiUser, AccountListingBodyMatchesFullScan) {
+  // Users whose names share a prefix sit next to each other in key
+  // order; "pb-user-1\x1fx" (stored directly, the server refuses the
+  // name) even sits inside pb-user-1's key range.
+  const std::vector<std::string> users = {"pb-user-1", "pb-user-10",
+                                          "pb-user-1x", "pb-user-1\x1fx"};
+  const std::vector<core::AccountId> ids = {
+      {"x", "a.example"}, {"u", "x"}, {"pb-user-10", "b.example"},
+      {"z", "pb-user-1x"}};
+  const std::string db_path = ::testing::TempDir() + "multiuser_listing.db";
+  std::filesystem::remove(db_path + ".snapshot");
+  std::filesystem::remove(db_path + ".journal");
+  TestbedConfig config;
+  config.server.db_path = db_path;
+  auto expect_listings_match = [&](Testbed& bed, const std::string& stage) {
+    for (const auto& user : users) {
+      const auto resp = SendAs(bed, user, websvc::Method::kGet, "/accounts");
+      EXPECT_EQ(resp.status, 200) << stage << " / " << user;
+      EXPECT_EQ(resp.body, ScannedListing(bed.server().db(), user))
+          << stage << " / " << user;
+    }
+  };
+  {
+    Testbed bed(config);
+    crypto::ChaChaDrbg rng(31);
+    auto& db = bed.server().db();
+    for (const auto& user : users) {
+      for (const auto& id : ids) {
+        ASSERT_TRUE(db.add_account(
+            {user, id, core::Seed::generate(rng), core::PasswordPolicy{}}));
+      }
+    }
+    expect_listings_match(bed, "inserted");
+    ASSERT_TRUE(db.remove_account("pb-user-1", {"u", "x"}));
+    ASSERT_TRUE(db.remove_account("pb-user-1\x1fx", {"x", "a.example"}));
+    expect_listings_match(bed, "removed");
+    ASSERT_TRUE(
+        db.set_seed("pb-user-10", {"u", "x"}, core::Seed::generate(rng)));
+    expect_listings_match(bed, "reseeded");
+  }
+  Testbed reopened(config);
+  EXPECT_EQ(reopened.server().db().list_accounts("pb-user-1").size(), 3u);
+  expect_listings_match(reopened, "reopened");
+  std::filesystem::remove(db_path + ".snapshot");
+  std::filesystem::remove(db_path + ".journal");
+}
+
+TEST(MultiUser, ControlBytesCannotAliasAnotherUsersAccountKey) {
+  // Storage keys join user, domain and username with \x1f, so without
+  // the identifier rule user "alice\x1fbank" adding (Y, X) lands on the
+  // key of alice's (Y, bank\x1fX): alice\x1fbank\x1fX\x1fY.
+  TwoUserWorld world;
+  Testbed& bed = world.bed;
+  const core::AccountId alices{"Y", "bank\x1fX"};
+  crypto::ChaChaDrbg rng(41);
+  const core::Seed alice_seed = core::Seed::generate(rng);
+  ASSERT_TRUE(bed.server().db().add_account(
+      {"alice", alices, alice_seed, core::PasswordPolicy{}}));
+
+  auto wait = [&](auto start) {
+    Waiter<Status> waiter(bed.sim());
+    start(waiter.capture());
+    return waiter.wait();
+  };
+  client::Browser& mallory = *world.bob_browser;
+  const std::string name = "alice\x1f" "bank";
+  auto refused = [](const Status& s) {
+    return !s.ok() && s.message().starts_with("control byte in field");
+  };
+  EXPECT_TRUE(refused(
+      wait([&](auto cb) { mallory.signup(name, "mallory-mp", cb); })));
+  EXPECT_FALSE(bed.server().db().user_exists(name));
+
+  // The rest of the attack, which needs the account above.
+  wait([&](auto cb) { mallory.login(name, "mallory-mp", cb); });
+  const Status add = wait([&](auto cb) { mallory.add_account("Y", "X", cb); });
+  EXPECT_FALSE(!add.ok() && add.code() == Err::kAlreadyExists)
+      << "(Y, X) collided with alice's account";
+  wait([&](auto cb) { mallory.rotate_seed("Y", "X", cb); });
+  wait([&](auto cb) { mallory.remove_account("Y", "X", cb); });
+  const auto row = bed.server().db().get_account("alice", alices);
+  ASSERT_TRUE(row.has_value()) << "alice's account was removed";
+  EXPECT_EQ(row->seed, alice_seed) << "alice's seed was rotated";
+
+  // Every byte below 0x20 in a username or domain is refused before
+  // storage, on both tables.
+  for (const auto& [username, domain] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"Y", "bank\x1fX"}, {"a\tb", "site"}, {"a", "si\nte"},
+           {std::string("a\0b", 3), "site"}, {"a", "\x01"}}) {
+    EXPECT_TRUE(refused(wait([&](auto cb) {
+      bed.browser().add_account(username, domain, cb);
+    }))) << username << " / " << domain;
+    EXPECT_TRUE(refused(wait([&](auto cb) {
+      bed.browser().vault_store(username, domain, "chosen", cb);
+    }))) << username << " / " << domain;
+  }
+  EXPECT_EQ(bed.server().db().list_accounts("alice").size(), 2u);
+  EXPECT_TRUE(bed.server().db().vault_list("alice").empty());
+  // Bytes from 0x20 up stay allowed.
+  EXPECT_TRUE(bed.add_account("a b~\x7f\xc3\xa9", "site").ok());
 }
 
 }  // namespace

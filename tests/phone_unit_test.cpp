@@ -97,7 +97,7 @@ TEST(PhoneUnit, PushBeforeInstallIsDroppedSafely) {
   rendezvous::PushClient push(sender, "gcm");
   crypto::ChaChaDrbg rng(5);
   const core::PasswordRequestPush msg{1, core::Request(rng.bytes(32)), "x",
-                                      0};
+                                      0, ""};
   push.push(*bed.phone().registration_id(), msg.encode(), 1'000'000,
             [](Status) {});
   bed.sim().run();

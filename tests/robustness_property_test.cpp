@@ -102,7 +102,7 @@ TEST_P(FuzzSweep, HttpResponseParserNeverCrashes) {
 TEST_P(FuzzSweep, ProtocolMessagesRejectMutations) {
   crypto::ChaChaDrbg rng(3000 + GetParam());
   const core::PasswordRequestPush push{42, core::Request(rng.bytes(32)),
-                                       "203.0.113.9", 123456};
+                                       "203.0.113.9", 123456, ""};
   const Bytes wire = push.encode();
   for (int i = 0; i < 300; ++i) {
     const Bytes fuzzed = mutate(wire, rng, 1 + static_cast<int>(rng.uniform(4)));

@@ -2,6 +2,9 @@
 // tamper/replay rejection, and HTTP-over-secure-channel integration.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "common/error.h"
 #include "crypto/drbg.h"
 #include "securechan/channel.h"
@@ -233,6 +236,156 @@ TEST(SecureChannel, ReplayedDataRecordIsRejected) {
   w.sim.run();
   EXPECT_EQ(w.server.stats().records_opened, opened_before);
   EXPECT_GE(w.server.stats().replays_rejected, 1u);
+}
+
+/// A data record's sequence number, read from its envelope.
+std::uint64_t RecordSeq(const Bytes& envelope) {
+  storage::BufReader r(envelope);
+  r.u8();   // record type
+  r.u64();  // channel id
+  return r.u64();
+}
+
+/// Diverts the client's data records whose sequence number `hold`
+/// accepts, as envelopes (node frame header stripped), instead of
+/// delivering them; `held` keeps them in send order.
+void HoldClientRecords(SecureWorld& w, std::function<bool(std::uint64_t)> hold,
+                       std::vector<Bytes>& held) {
+  w.net.add_tap("client", "server", [&held, hold](Micros, simnet::Message& m) {
+    if (m.payload.size() <= 10 || m.payload[9] != 0x03) {
+      return simnet::TapAction::kPass;
+    }
+    Bytes envelope(m.payload.begin() + 9, m.payload.end());
+    if (!hold(RecordSeq(envelope))) return simnet::TapAction::kPass;
+    held.push_back(std::move(envelope));
+    return simnet::TapAction::kDrop;
+  });
+}
+
+TEST(SecureChannel, ForgedRecordsDoNotConsumeSequenceNumbers) {
+  // Forgeries fail authentication and must leave the replay window as it
+  // was: another node that sends garbage records for the next sequence
+  // numbers cannot lock the honest client out of its channel.
+  SecureWorld w;
+  std::string got;
+  w.client.request(to_bytes("one"), [&](Result<Bytes> r) {
+    got = to_string(r.value());
+  });
+  w.sim.run();
+  ASSERT_EQ(got, "echo:one");
+
+  simnet::Node attacker(w.net, "attacker");
+  for (std::uint64_t seq = 0; seq < 100; ++seq) {
+    storage::BufWriter forged;
+    forged.u8(0x03);
+    forged.u64(1);  // the client's channel id
+    forged.u64(seq);
+    forged.bytes(Bytes(40, 0xab));
+    attacker.request("server", forged.take(), [](Result<Bytes>) {});
+  }
+  w.sim.run();
+  EXPECT_EQ(w.server.stats().records_opened, 1u);
+  EXPECT_EQ(w.server.stats().records_rejected +
+                w.server.stats().replays_rejected,
+            100u);
+
+  Result<Bytes> next(Err::kInternal, "pending");
+  w.client.request(to_bytes("two"),
+                   [&](Result<Bytes> r) { next = std::move(r); });
+  w.sim.run();
+  ASSERT_TRUE(next.ok()) << next.message();
+  EXPECT_EQ(to_string(next.value()), "echo:two");
+}
+
+TEST(SecureChannel, ReorderedRecordsInsideTheWindowAreAccepted) {
+  SecureWorld w;
+  std::vector<Bytes> held;
+  HoldClientRecords(w, [](std::uint64_t) { return true; }, held);
+  for (const char* body : {"r0", "r1", "r2", "r3", "r4"}) {
+    w.client.request(to_bytes(body), [](Result<Bytes>) {});
+  }
+  w.sim.run();
+  ASSERT_EQ(held.size(), 5u);
+
+  std::vector<std::string> replies;
+  auto deliver = [&](const Bytes& envelope) {
+    w.server.handle_wire(envelope, [&](Bytes reply) {
+      replies.push_back(to_string(reply));
+    });
+  };
+  for (const std::size_t i : {4u, 0u, 2u, 3u, 1u}) deliver(held[i]);
+  EXPECT_EQ(w.server.stats().records_opened, 5u);
+  EXPECT_EQ(w.server.stats().replays_rejected, 0u);
+  EXPECT_EQ(replies.size(), 5u);
+  // Each of them again is a replay.
+  for (const Bytes& envelope : held) deliver(envelope);
+  EXPECT_EQ(w.server.stats().records_opened, 5u);
+  EXPECT_EQ(w.server.stats().replays_rejected, 5u);
+}
+
+TEST(SecureChannel, RecordBelowTheWindowIsRejected) {
+  // Hold back the records numbered 0 and 1, then let SeqWindow::kSize - 1
+  // more through: the highest number is kSize, so 1 is the oldest number
+  // the window still covers and 0 has fallen out of it.
+  SecureWorld w;
+  std::vector<Bytes> held;
+  HoldClientRecords(w, [](std::uint64_t seq) { return seq < 2; }, held);
+  for (std::uint64_t i = 0; i < SeqWindow::kSize + 1; ++i) {
+    w.client.request(to_bytes("r"), [](Result<Bytes>) {});
+  }
+  w.sim.run();
+  ASSERT_EQ(held.size(), 2u);
+  ASSERT_EQ(w.server.stats().records_opened, SeqWindow::kSize - 1);
+
+  std::size_t replies = 0;
+  auto deliver = [&](const Bytes& envelope) {
+    w.server.handle_wire(envelope, [&](Bytes) { ++replies; });
+  };
+  deliver(held[0]);
+  EXPECT_EQ(w.server.stats().replays_rejected, 1u);
+  EXPECT_EQ(replies, 0u);
+  deliver(held[1]);
+  EXPECT_EQ(w.server.stats().records_opened, SeqWindow::kSize);
+  EXPECT_EQ(replies, 1u);
+}
+
+TEST(SeqWindowTest, MarksOnlyTheLastKSizeNumbers) {
+  constexpr std::uint64_t k = SeqWindow::kSize;
+  SeqWindow w;
+  EXPECT_TRUE(w.fresh(0));
+  EXPECT_TRUE(w.fresh(~std::uint64_t{0}));
+  for (const std::uint64_t seq : {1u, 2u, 3u}) w.mark(seq);
+  EXPECT_FALSE(w.fresh(2));
+  EXPECT_TRUE(w.fresh(0));
+  EXPECT_TRUE(w.fresh(4));
+
+  // Slide up by less than the window: 3 stays marked, and the slots the
+  // slide reuses (those of 1 and 2) are clear for k + 1 and k + 2.
+  w.mark(k + 2);
+  EXPECT_FALSE(w.fresh(3));
+  EXPECT_TRUE(w.fresh(4));
+  EXPECT_TRUE(w.fresh(k + 1));
+  EXPECT_FALSE(w.fresh(k + 2));
+  EXPECT_FALSE(w.fresh(2));  // below the window now
+  w.mark(k + 1);
+  EXPECT_FALSE(w.fresh(k + 1));
+
+  // A jump of more than the window forgets everything below it.
+  w.mark(10 * k);
+  EXPECT_FALSE(w.fresh(9 * k));
+  EXPECT_TRUE(w.fresh(9 * k + 1));
+  EXPECT_TRUE(w.fresh(10 * k - 1));
+  EXPECT_FALSE(w.fresh(10 * k));
+  EXPECT_TRUE(w.fresh(10 * k + 1));
+
+  // The top of the number space slides without wrapping.
+  const std::uint64_t top = ~std::uint64_t{0};
+  w.mark(top - 1);
+  w.mark(top);
+  EXPECT_FALSE(w.fresh(top));
+  EXPECT_FALSE(w.fresh(top - 1));
+  EXPECT_TRUE(w.fresh(top - 2));
+  EXPECT_FALSE(w.fresh(10 * k));
 }
 
 TEST(SecureChannel, ResetIsTicketPreservingAndResumes) {

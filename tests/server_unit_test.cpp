@@ -2,6 +2,8 @@
 // handler (including the vault schema) and the authentication throttle.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "crypto/drbg.h"
 #include "server/auth.h"
 #include "server/db.h"
@@ -143,6 +145,138 @@ TEST(DbHandlerTest, VaultLifecycle) {
   EXPECT_FALSE(db.vault_remove("alice", id));
   EXPECT_FALSE(
       db.vault_set_ciphertext("alice", id, Bytes{1}, Bytes{2}));
+}
+
+// --- Per-user listings against a full scan of the table. The listings
+// --- visit one user's key range; the reference is the whole-table
+// --- select on the user column, which they must equal in content and
+// --- order.
+
+/// One row rendered with every column after the key.
+std::string Render(const storage::Row& row) {
+  std::string out;
+  for (std::size_t i = 1; i < row.size(); ++i) {
+    out += row[i].to_display_string();
+    if (row[i].type() == storage::ValueType::kBlob) {
+      out += hex_encode(row[i].as_blob());
+    }
+    out += '|';
+  }
+  return out;
+}
+
+std::vector<std::string> ScanReference(const DbHandler& db,
+                                       const std::string& table,
+                                       const std::string& user) {
+  std::vector<std::string> rows;
+  for (const auto& row : db.raw().table(table).select(
+           [&](const storage::Row& r) { return r[1].as_text() == user; })) {
+    rows.push_back(Render(row));
+  }
+  return rows;
+}
+
+std::vector<std::string> ListedAccounts(const DbHandler& db,
+                                        const std::string& user) {
+  std::vector<std::string> rows;
+  for (const auto& a : db.list_accounts(user)) {
+    rows.push_back(Render({"", a.user, a.id.username, a.id.domain,
+                           a.seed.bytes(), a.policy.encode()}));
+  }
+  return rows;
+}
+
+std::vector<std::string> ListedVault(const DbHandler& db,
+                                     const std::string& user) {
+  std::vector<std::string> rows;
+  for (const auto& v : db.vault_list(user)) {
+    rows.push_back(Render(
+        {"", v.user, v.id.username, v.id.domain, v.seed.bytes(),
+         v.nonce ? storage::Value(*v.nonce) : storage::Value(),
+         v.ciphertext ? storage::Value(*v.ciphertext) : storage::Value()}));
+  }
+  return rows;
+}
+
+std::vector<std::string> ScanIds(const DbHandler& db, const std::string& user) {
+  std::vector<std::string> ids;
+  for (const auto& row : db.raw().table("accounts").select(
+           [&](const storage::Row& r) { return r[1].as_text() == user; })) {
+    ids.push_back(row[2].as_text() + '\t' + row[3].as_text());
+  }
+  return ids;
+}
+
+std::vector<std::string> VisitedIds(const DbHandler& db,
+                                    const std::string& user) {
+  std::vector<std::string> ids;
+  db.for_each_account_id(
+      user, [&](const std::string& username, const std::string& domain) {
+        ids.push_back(username + '\t' + domain);
+      });
+  return ids;
+}
+
+// pb-user-1's key range also holds the rows of "pb-user-1\x1fx", a name
+// the server refuses but the handler stores; pb-user-10 and pb-user-1x
+// sort right after it.
+const std::vector<std::string> kListingUsers = {
+    "pb-user-1", "pb-user-10", "pb-user-1x", "pb-user-1\x1fx", "pb-user-2"};
+
+void ExpectListingsMatchScan(const DbHandler& db, const std::string& stage) {
+  for (const auto& user : kListingUsers) {
+    SCOPED_TRACE(stage + " / " + user);
+    EXPECT_EQ(ListedAccounts(db, user), ScanReference(db, "accounts", user));
+    EXPECT_EQ(VisitedIds(db, user), ScanIds(db, user));
+    EXPECT_EQ(ListedVault(db, user), ScanReference(db, "vault", user));
+  }
+}
+
+TEST(DbHandlerTest, PerUserListingsMatchFullScan) {
+  crypto::ChaChaDrbg rng(8);
+  const std::string path = ::testing::TempDir() + "db_listing_test";
+  std::filesystem::remove(path + ".snapshot");
+  std::filesystem::remove(path + ".journal");
+  {
+    DbHandler db(path);
+    for (const auto& user : kListingUsers) db.create_user(make_user(user, rng));
+    // Domains and usernames that themselves start like user names, and a
+    // custom policy with repeated characters, so a prefix slip or a
+    // decoding difference would show.
+    const std::vector<core::AccountId> ids = {
+        {"x", "a.example"},  {"pb-user-10", "b.example"},
+        {"u", "x"},          {"u2", "x"},
+        {"z", "\x1f"},       {"x", "pb-user-1x"}};
+    core::PasswordPolicy policy{core::CharacterTable::custom("aab!\xe9"), 7};
+    for (const auto& user : kListingUsers) {
+      for (const auto& id : ids) {
+        ASSERT_TRUE(
+            db.add_account({user, id, core::Seed::generate(rng), policy}));
+        ASSERT_TRUE(db.vault_add(
+            {user, id, core::Seed::generate(rng), std::nullopt, std::nullopt}));
+      }
+    }
+    EXPECT_EQ(db.list_accounts("pb-user-1").size(), ids.size());
+    ExpectListingsMatchScan(db, "inserted");
+
+    ASSERT_TRUE(db.remove_account("pb-user-1", {"u", "x"}));
+    ASSERT_TRUE(db.remove_account("pb-user-1\x1fx", {"x", "a.example"}));
+    ASSERT_TRUE(db.vault_remove("pb-user-10", {"z", "\x1f"}));
+    ExpectListingsMatchScan(db, "removed");
+
+    ASSERT_TRUE(
+        db.set_seed("pb-user-1", {"x", "a.example"}, core::Seed::generate(rng)));
+    ASSERT_TRUE(db.set_seed("pb-user-1\x1fx", {"u", "x"},
+                            core::Seed::generate(rng)));
+    ASSERT_TRUE(db.vault_set_ciphertext("pb-user-1", {"u2", "x"}, Bytes{1},
+                                        Bytes{2, 3}));
+    ExpectListingsMatchScan(db, "reseeded");
+  }
+  DbHandler reopened(path);
+  EXPECT_EQ(reopened.list_accounts("pb-user-1").size(), 5u);
+  ExpectListingsMatchScan(reopened, "reopened");
+  std::filesystem::remove(path + ".snapshot");
+  std::filesystem::remove(path + ".journal");
 }
 
 TEST(ThrottleGuardTest, LocksAfterMaxFailuresAndRecovers) {

@@ -215,6 +215,62 @@ TEST(TableTest, AllReturnsRowsInKeyOrder) {
   EXPECT_EQ(rows[2][0].as_text(), "charlie");
 }
 
+/// Keys visit_prefix yields, in visiting order.
+std::vector<std::string> VisitedKeys(const Table& t, std::string_view prefix) {
+  std::vector<std::string> keys;
+  t.visit_prefix(prefix,
+                 [&](const Row& r) { keys.push_back(r[0].as_text()); });
+  return keys;
+}
+
+/// The same rows by full scan: every key that starts with `prefix`.
+std::vector<std::string> ScannedKeys(const Table& t, std::string_view prefix) {
+  std::vector<std::string> keys;
+  for (const Row& r : t.select([&](const Row& row) {
+         return row[0].as_text().starts_with(prefix);
+       })) {
+    keys.push_back(r[0].as_text());
+  }
+  return keys;
+}
+
+TEST(TableTest, VisitPrefixYieldsExactlyThePrefixRangeInKeyOrder) {
+  Table t(user_schema());
+  for (const char* name : {"pb-user-1\x1f" "b", "pb-user-10\x1f" "a",
+                           "pb-user-1\x1f" "a", "pb-user-1x\x1f" "a",
+                           "pb-user-1", "pb-user-0\x1f" "z", "zz", "",
+                           "pb-user-1\x1f\x1f", "\xff" "hi"}) {
+    t.insert({name, 1, Value(), Value()});
+  }
+  for (const std::string_view prefix :
+       {"pb-user-1\x1f", "pb-user-1", "pb-user-10", "pb", "zz", "zzz",
+        "\xff", "pb-user-2"}) {
+    EXPECT_EQ(VisitedKeys(t, prefix), ScannedKeys(t, prefix)) << prefix;
+  }
+  EXPECT_EQ(VisitedKeys(t, "pb-user-1\x1f"),
+            (std::vector<std::string>{"pb-user-1\x1f\x1f", "pb-user-1\x1f" "a",
+                                      "pb-user-1\x1f" "b"}));
+  // The empty prefix is every row; a full key is that row alone; a
+  // prefix past the last key is none.
+  EXPECT_EQ(VisitedKeys(t, ""), ScannedKeys(t, ""));
+  EXPECT_EQ(VisitedKeys(t, "").size(), t.size());
+  EXPECT_EQ(VisitedKeys(t, "zz"), (std::vector<std::string>{"zz"}));
+  EXPECT_TRUE(VisitedKeys(t, "\xff\xff").empty());
+  EXPECT_TRUE(VisitedKeys(Table(user_schema()), "").empty());
+}
+
+TEST(TableTest, VisitPrefixOnIntKeyedTableYieldsNone) {
+  Table t(Schema{.columns = {{"id", ValueType::kInt},
+                             {"name", ValueType::kText}},
+                 .primary_key = 0});
+  t.insert({1, "a"});
+  t.insert({2, "b"});
+  std::size_t visited = 0;
+  t.visit_prefix("", [&](const Row&) { ++visited; });
+  t.visit_prefix("1", [&](const Row&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+}
+
 TEST(DatabaseTest, InMemoryBasicOps) {
   Database db;
   db.create_table("users", user_schema());
