@@ -14,10 +14,9 @@
 // time of each hop. Everything is virtual time, so the JSON artifact
 // (BENCH_fig3_latency.json, including a full sample trace tree and the
 // per-bucket histogram exemplars) is byte-identical across runs with the
-// same seed — with one deliberate exception: the "profile" section comes
-// from the wall-clock sampling profiler (real CPU, real stacks) and
-// varies run to run. The regression gate reads only the deterministic
-// metrics, so this does not perturb tools/check_bench.py.
+// same seed. The bench_fig3_latency_exact ctest holds a default run to the
+// committed copy byte for byte; after an intended change, regenerate that
+// copy by running the binary from the repo root.
 //
 //   ./bench/bench_fig3_latency [trials] [seed]
 #include <algorithm>
@@ -30,7 +29,6 @@
 
 #include "eval/latency.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 
 using namespace amnesia;
@@ -140,27 +138,6 @@ std::string exemplars_json(const obs::Snapshot& snapshot) {
   return out;
 }
 
-std::string hotspots_json(const std::vector<obs::CollapsedLine>& hotspots) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < hotspots.size(); ++i) {
-    // Demangled frames can carry quotes/backslashes (rarely, but e.g.
-    // literal operators); escape so the artifact stays valid JSON.
-    std::string stack;
-    for (const char c : hotspots[i].stack) {
-      if (c == '"' || c == '\\') stack += '\\';
-      stack += c;
-    }
-    if (i) out += ",";
-    out += "\n       {\"stack\": \"";
-    out += stack;
-    out += "\", \"count\": ";
-    out += std::to_string(hotspots[i].count);
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
 /// to_json() yields a complete document; trim the trailing newline so it
 /// embeds as a nested object.
 std::string embed_json(const obs::Snapshot& snapshot) {
@@ -187,14 +164,7 @@ int main(int argc, char** argv) {
               "(%d trials per network, seed %llu)\n\n",
               trials, static_cast<unsigned long long>(seed));
 
-  // Sample the bench itself: the trials run in virtual time but burn
-  // real CPU (crypto, codecs, the simulator), and the collapsed profile
-  // names where. Wall-clock, hence the one nondeterministic JSON section.
-  obs::Profiler::instance().start();
   const auto results = eval::run_fig3(trials, seed);
-  obs::Profiler::instance().stop();
-  const std::string profile = obs::Profiler::instance().collapsed();
-  const auto hotspots = obs::top_collapsed(profile, 10);
 
   // The figure annotates a handful of individual trials; print the first
   // 12 of each series the same way.
@@ -248,21 +218,6 @@ int main(int argc, char** argv) {
   for (const auto& result : results) {
     std::printf("  %s\n", result.network_name.c_str());
     print_exemplars(result.metrics);
-  }
-
-  // CPU hotspots of the run (sampling profiler, collapsed stacks).
-  std::printf("\nCPU hotspots (%llu samples, top %zu stacks):\n",
-              static_cast<unsigned long long>(
-                  obs::Profiler::instance().samples_captured()),
-              hotspots.size());
-  for (const auto& line : hotspots) {
-    std::printf("  %6llu %s\n",
-                static_cast<unsigned long long>(line.count),
-                line.stack.c_str());
-  }
-  if (hotspots.empty()) {
-    std::printf("  (profiler unsupported on this platform or run too "
-                "short to sample)\n");
   }
 
   // Distribution shape, Fig. 3's scatter rendered as histograms.
@@ -340,9 +295,7 @@ int main(int argc, char** argv) {
           << ",\n     \"metrics\": " << embed_json(results[i].metrics) << '}'
           << (i + 1 < results.size() ? ",\n" : "\n");
     }
-    out << "  ],\n  \"profile\": {\"samples\": "
-        << obs::Profiler::instance().samples_captured()
-        << ", \"hotspots\": " << hotspots_json(hotspots) << "}\n}\n";
+    out << "  ]\n}\n";
   }
   std::printf("\nWrote BENCH_fig3_latency.json\n");
   return 0;

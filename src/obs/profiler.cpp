@@ -456,14 +456,4 @@ std::string merge_collapsed(const std::vector<std::string>& parts) {
   return out.str();
 }
 
-std::vector<CollapsedLine> top_collapsed(const std::string& text,
-                                         std::size_t n) {
-  std::vector<CollapsedLine> lines = parse_collapsed(text);
-  std::sort(lines.begin(), lines.end(), [](const auto& a, const auto& b) {
-    return a.count != b.count ? a.count > b.count : a.stack < b.stack;
-  });
-  if (lines.size() > n) lines.resize(n);
-  return lines;
-}
-
 }  // namespace amnesia::obs

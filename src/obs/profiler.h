@@ -142,9 +142,4 @@ std::vector<CollapsedLine> parse_collapsed(const std::string& text);
 /// the shard router's aggregate GET /profile.
 std::string merge_collapsed(const std::vector<std::string>& parts);
 
-/// The `n` hottest stacks of a collapsed profile (same order as
-/// merge_collapsed output) — the bench hotspot table.
-std::vector<CollapsedLine> top_collapsed(const std::string& text,
-                                         std::size_t n);
-
 }  // namespace amnesia::obs

@@ -49,6 +49,13 @@ std::optional<std::string> need_identifier(
   return value;
 }
 
+// How long the rendezvous service holds an undelivered push, how long a
+// pairing CAPTCHA or a master-password change waits for the phone, and
+// how many payloads one registration's poll queue parks (drop-oldest).
+constexpr Micros kPushTtlUs = 60'000'000;
+constexpr Micros kCaptchaTtlUs = 5ll * 60 * 1'000'000;
+constexpr std::size_t kPollQueueMax = 32;
+
 /// Strict decimal parse for observability query values (?ms=, ?since=):
 /// digits only, bounded length and magnitude. Anything else -> nullopt,
 /// which the endpoints turn into a 400 — hostile query strings are
@@ -106,9 +113,7 @@ AmnesiaServer::AmnesiaServer(simnet::Simulation& sim,
   secure_.set_metrics(&metrics_);
   db_.raw().set_metrics(&metrics_);
   rendezvous_breaker_.set_metrics(&metrics_);
-  if (config_.shed_max_queue > 0) {
-    http_.set_load_shed(config_.shed_max_queue, config_.shed_retry_after_s);
-  }
+  http_.set_load_shed(config_.shed_max_queue);
   // Crypto-layer load (PBKDF2 calls from master-password hashing) lands in
   // the same registry, so GET /metrics exposes it. Process-wide hook: with
   // several servers the most recently constructed one owns it.
@@ -435,7 +440,7 @@ void AmnesiaServer::handle_pair_start(const Request& req,
     captcha.push_back(static_cast<char>('0' + rng_.uniform(10)));
   }
   pending_pairings_[*user] =
-      PendingPairing{captcha, sim_.now() + config_.captcha_ttl_us};
+      PendingPairing{captcha, sim_.now() + kCaptchaTtlUs};
   respond(Response::ok_form({{"captcha", captcha}}));
 }
 
@@ -696,7 +701,7 @@ void AmnesiaServer::begin_phone_round_trip(const core::Seed& seed,
     // deliver span parents under it).
     const obs::ScopedTrace push_scope(push_span);
     push_.push(
-        registration_id, payload, config_.push_ttl_us,
+        registration_id, payload, kPushTtlUs,
         [request_id, push_span, tstart, registration_id, payload,
          this](Status s) {
           metrics_.tracer().end(push_span);
@@ -750,7 +755,7 @@ void AmnesiaServer::enqueue_poll(const std::string& registration_id,
   }
   // Bounded like every other queue in the degradation path: drop-oldest,
   // since the oldest request is the one closest to its 504 anyway.
-  if (queue.size() >= config_.poll_queue_max) {
+  if (queue.size() >= kPollQueueMax) {
     drop_poll_row(queue.front().seq);
     queue.pop_front();
   }
@@ -1033,7 +1038,7 @@ void AmnesiaServer::handle_recover_mp_start(const Request& req,
   // The change only applies after the phone proves possession of Pid.
   pending_mp_changes_[*user] =
       PendingMpChange{mp_hasher_.hash(to_bytes(*new_mp), rng_),
-                      sim_.now() + config_.captcha_ttl_us};
+                      sim_.now() + kCaptchaTtlUs};
   respond(Response::ok_text("awaiting phone verification"));
 }
 

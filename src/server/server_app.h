@@ -90,8 +90,6 @@ struct AmnesiaServerConfig {
   double light_compute_ms = 2.0;
 
   Micros phone_wait_timeout_us = 30'000'000;  // browser gets 504 after this
-  Micros push_ttl_us = 60'000'000;
-  Micros captcha_ttl_us = 5ll * 60 * 1'000'000;
 
   // Section VIII extension: the session mechanism. When > 0, a generated
   // password is cached per (session, account) for this long, so repeated
@@ -110,14 +108,12 @@ struct AmnesiaServerConfig {
   // a dead rendezvous fails — and trips the breaker — before the browser
   // gives up).
   Micros push_rpc_timeout_us = simnet::Node::kDefaultTimeoutUs;
-  std::size_t poll_queue_max = 32;           // per reg_id, drop-oldest
-  Micros poll_entry_ttl_us = 60'000'000;     // mirrors push_ttl_us intent
+  Micros poll_entry_ttl_us = 60'000'000;  // as long as a push lives
 
   // When > 0, enables HTTP load shedding: once every worker is busy and
   // the accept queue reaches this depth, new requests get an immediate
   // 503 + Retry-After instead of an unbounded wait.
   std::size_t shed_max_queue = 0;
-  int shed_retry_after_s = 1;
 
   // --- Observability (docs/OBSERVABILITY.md) ---
 

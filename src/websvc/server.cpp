@@ -97,7 +97,7 @@ void HttpServer::handle_bytes(const Bytes& wire,
                               "load shed 503: " + req.path);
     }
     Response resp = Response::error(503, "server overloaded");
-    resp.headers["Retry-After"] = std::to_string(shed_retry_after_s_);
+    resp.headers["Retry-After"] = "1";
     respond(serialize(resp));
     return;
   }

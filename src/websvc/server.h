@@ -82,12 +82,11 @@ class HttpServer {
 
   /// Load shedding: when every worker is busy AND the pool's wait queue
   /// already holds `max_queue_depth` jobs, further requests are rejected
-  /// immediately with 503 + Retry-After instead of queueing without
+  /// immediately with 503 + `Retry-After: 1` instead of queueing without
   /// bound. 0 (the default) disables shedding. Shed requests count in
   /// stats().requests_shed and the resilience.requests_shed metric.
-  void set_load_shed(std::size_t max_queue_depth, int retry_after_s = 1) {
+  void set_load_shed(std::size_t max_queue_depth) {
     shed_max_queue_ = max_queue_depth;
-    shed_retry_after_s_ = retry_after_s;
   }
 
   /// Handles one serialized request; `respond` receives serialized
@@ -110,7 +109,6 @@ class HttpServer {
   std::string trace_component_ = "server";
   std::set<std::string> metrics_exempt_;
   std::size_t shed_max_queue_ = 0;
-  int shed_retry_after_s_ = 1;
 };
 
 }  // namespace amnesia::websvc

@@ -88,16 +88,6 @@ TEST(CollapsedCodec, MergeSumsIdenticalStacksDeterministically) {
   EXPECT_EQ(obs::merge_collapsed({merged}), merged);
 }
 
-TEST(CollapsedCodec, TopReturnsHottestStacks) {
-  const std::string text =
-      std::string(kHeader) + "\na;x 2\nb;y 9\nc;z 5\n";
-  const auto top = obs::top_collapsed(text, 2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0], (CollapsedLine{"b;y", 9}));
-  EXPECT_EQ(top[1], (CollapsedLine{"c;z", 5}));
-  EXPECT_TRUE(obs::top_collapsed("", 4).empty());
-}
-
 // ------------------------------------------------------- ring capture
 
 TEST(ObsProfiler, SupportedOnLinuxGlibc) {

@@ -3,12 +3,18 @@
 // rendezvous service entirely offline. The server's breaker opens, push
 // payloads are parked in the poll queue, and the phone's polling
 // fallback picks them up — no component may hang or hand out a wrong
-// password.
+// password. A saturated server sheds load with an early 503.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "crypto/drbg.h"
 #include "eval/testbed.h"
 #include "resilience/fault.h"
 #include "resilience/policy.h"
+#include "testutil.h"
 
 namespace amnesia::eval {
 namespace {
@@ -179,6 +185,43 @@ TEST(ResilienceE2E, PollEntriesRedeliverUntilTtlExpiry) {
   bed.sim().run_until(bed.sim().now() + ms_to_us(2000));
   EXPECT_EQ(bed.server().stats().poll_delivered, delivered);
   EXPECT_EQ(bed.phone().stats().tokens_sent, 1u);
+}
+
+TEST(ResilienceE2E, SaturatedServerShedsPastShedMaxQueue) {
+  // One worker, a second of modelled CPU per request and a queue bound of
+  // one: of three requests sent at once, one runs, one queues behind it
+  // and one is shed.
+  TestbedConfig config;
+  config.seed = 95;
+  config.server.workers = 1;
+  config.server.light_compute_ms = 1000.0;
+  config.server.shed_max_queue = 1;
+  Testbed bed(config);
+  crypto::ChaChaDrbg rng(95);
+  testutil::OpsClient ops(bed, rng);
+
+  std::vector<int> statuses;
+  std::string retry_after;
+  for (int i = 0; i < 3; ++i) {
+    ops.http.get("/accounts", [&](Result<websvc::Response> r) {
+      EXPECT_TRUE(r.ok()) << r.message();
+      if (!r.ok()) return;
+      statuses.push_back(r.value().status);
+      if (r.value().status == 503) {
+        retry_after = r.value().header("Retry-After").value_or("");
+      }
+    });
+  }
+  bed.sim().run_until(bed.sim().now() + ms_to_us(10'000));
+
+  // The two that got a worker fail authentication, as unauthenticated
+  // requests do; the shed one never reached a handler.
+  std::sort(statuses.begin(), statuses.end());
+  EXPECT_EQ(statuses, (std::vector<int>{401, 401, 503}));
+  EXPECT_EQ(retry_after, "1");
+  EXPECT_EQ(bed.server().http().stats().requests_shed, 1u);
+  EXPECT_EQ(
+      bed.server().metrics().counter("resilience.requests_shed").value(), 1u);
 }
 
 }  // namespace

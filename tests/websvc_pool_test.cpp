@@ -1,6 +1,7 @@
 // Connection pool: keep-alive reuse, bounds, idle eviction, shared-ticket
-// resumption on redial, and pooled traffic against four live reactors
-// (the TSan-clean requirement for the shared TicketKeyStore).
+// resumption on redial, and pooled logins and password rounds against
+// four live reactors (the TSan-clean requirement for the shared
+// TicketKeyStore).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,6 +20,8 @@ namespace amnesia::websvc {
 namespace {
 
 constexpr const char* kMp = "correct horse battery staple";
+constexpr const char* kAccountUser = "Alice";
+constexpr const char* kAccountDomain = "mail.google.com";
 
 struct PoolWorld {
   eval::Deployment st;
@@ -220,6 +223,67 @@ TEST(ConnectionPool, PooledLoginsAcrossFourLiveReactors) {
   w.st.stop();
   // The whole 12-login run paid for at most the pool's width in full
   // handshakes; everything else rode established channels or tickets.
+  EXPECT_LE(w.handshake_delta(), 4u);
+}
+
+TEST(ConnectionPool, PooledPasswordRoundsYieldTheGroundTruth) {
+  // Whole bilateral rounds multiplexed over one pool, two in flight per
+  // user. Eight rounds in flight at most: a round holds one of its
+  // shard's ten workers until the phone's token arrives, so no shard can
+  // run out of workers for the tokens.
+  PoolWorld w(4);
+  const std::vector<std::string> users = {"alice", "bob", "carol", "dave"};
+  std::vector<std::string> truth;
+  for (const auto& user : users) {
+    eval::Testbed& world = w.st.world_of(user);
+    ASSERT_TRUE(world.provision(user, kMp).ok()) << user;
+    ASSERT_TRUE(world.add_account(kAccountUser, kAccountDomain).ok()) << user;
+    const auto password = world.get_password(kAccountUser, kAccountDomain);
+    ASSERT_TRUE(password.ok()) << user;
+    truth.push_back(password.value());
+  }
+  w.start();
+  ConnectionPool pool = w.make_pool();
+
+  std::vector<std::unique_ptr<HttpClient>> clients;
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    clients.push_back(std::make_unique<HttpClient>(pool.transport()));
+    bool fired = false;
+    clients[i]->post_form("/login",
+                          {{"user", users[i]}, {"master_password", kMp}},
+                          [&](Result<Response> r) {
+                            EXPECT_TRUE(r.ok() && r.value().status == 200)
+                                << users[i];
+                            fired = true;
+                          });
+    w.await(fired);
+  }
+
+  constexpr int kInFlightPerUser = 2;
+  const int per_wave = static_cast<int>(users.size()) * kInFlightPerUser;
+  for (int wave = 0; wave < 3; ++wave) {
+    int done = 0;
+    bool all = false;
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      for (int k = 0; k < kInFlightPerUser; ++k) {
+        clients[i]->post_form(
+            "/password/request",
+            {{"username", kAccountUser}, {"domain", kAccountDomain}},
+            [&, i](Result<Response> r) {
+              EXPECT_TRUE(r.ok()) << users[i];
+              if (r.ok()) {
+                EXPECT_EQ(r.value().status, 200) << users[i];
+                EXPECT_EQ(r.value().form()["password"], truth[i]) << users[i];
+              }
+              if (++done == per_wave) all = true;
+            });
+      }
+    }
+    w.await(all);
+  }
+
+  EXPECT_LE(pool.open_connections(), 4u);
+  w.st.stop();
   EXPECT_LE(w.handshake_delta(), 4u);
 }
 

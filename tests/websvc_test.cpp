@@ -2,6 +2,9 @@
 // model, and end-to-end client/server over the simulated network.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "common/error.h"
 #include "crypto/drbg.h"
 #include "obs/metrics.h"
@@ -429,6 +432,82 @@ TEST(HttpEndToEnd, ExemptReadinessRouteBypassesPoolAndMetrics) {
     EXPECT_EQ(name.find("/healthz"), std::string::npos)
         << "exempt route leaked into metrics: " << name;
   }
+}
+
+TEST(HttpEndToEnd, LoadShedAnswers503PastTheQueueBound) {
+  // One worker, held by a handler that keeps its responder, and a queue
+  // bound of one: the next request queues, the one after it is shed.
+  simnet::Simulation sim(63);
+  HttpServer server(sim, 1);
+  obs::MetricsRegistry registry(&sim.clock());
+  server.set_metrics(&registry);
+  server.set_load_shed(1);
+  Responder held;
+  server.router().add(Method::kGet, "/hold",
+                      [&](const Request&, const PathParams&, Responder respond) {
+                        held = std::move(respond);
+                      });
+  server.router().add(Method::kGet, "/work",
+                      [](const Request&, const PathParams&, Responder respond) {
+                        respond(Response::ok_text("done"));
+                      });
+  server.router().add(Method::kGet, "/healthz",
+                      [](const Request&, const PathParams&, Responder respond) {
+                        respond(Response::ok_text("ok"));
+                      });
+  server.metrics_exempt("/healthz");
+  const auto send = [&](const std::string& path,
+                        std::optional<Response>& reply) {
+    Request req;
+    req.method = Method::kGet;
+    req.path = path;
+    server.handle_bytes(serialize(req), [&reply](Bytes wire) {
+      reply = parse_response(wire);
+    });
+  };
+
+  std::optional<Response> hold, queued, shed, probe;
+  send("/hold", hold);
+  send("/work", queued);
+  ASSERT_EQ(server.pool().busy(), 1);
+  ASSERT_EQ(server.pool().queue_depth(), 1u);
+  EXPECT_FALSE(queued.has_value());
+  EXPECT_EQ(server.stats().requests_shed, 0u);
+  EXPECT_EQ(registry.counter("resilience.requests_shed").value(), 0u);
+  EXPECT_EQ(registry.counter("http.responses_5xx").value(), 0u);
+
+  send("/work", shed);
+  ASSERT_TRUE(shed.has_value());
+  EXPECT_EQ(shed->status, 503);
+  EXPECT_EQ(shed->header("Retry-After").value_or(""), "1");
+  EXPECT_EQ(server.stats().requests_shed, 1u);
+  EXPECT_EQ(registry.counter("resilience.requests_shed").value(), 1u);
+  EXPECT_EQ(registry.counter("http.responses_5xx").value(), 1u);
+  bool logged = false;
+  for (const auto& rec : registry.events().snapshot()) {
+    logged = logged || (rec.level == obs::EventLevel::kWarn &&
+                        rec.message == "load shed 503: /work");
+  }
+  EXPECT_TRUE(logged);
+
+  // An exempt route bypasses the pool, so a saturated server still
+  // answers its probe.
+  send("/healthz", probe);
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_EQ(probe->status, 200);
+
+  // Releasing the worker runs the request that queued below the bound.
+  ASSERT_TRUE(held);
+  held(Response::ok_text("released"));
+  RunSim(sim);
+  ASSERT_TRUE(hold.has_value());
+  EXPECT_EQ(hold->status, 200);
+  ASSERT_TRUE(queued.has_value());
+  EXPECT_EQ(queued->status, 200);
+  EXPECT_EQ(queued->body, "done");
+  EXPECT_EQ(server.pool().busy(), 0);
+  EXPECT_EQ(server.stats().requests_shed, 1u);
+  EXPECT_EQ(server.stats().responses_5xx, 1u);
 }
 
 TEST(HttpEndToEnd, TransportTimeoutSurfacesAsFailure) {

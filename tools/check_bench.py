@@ -1,24 +1,19 @@
 #!/usr/bin/env python3
-"""Compare freshly produced BENCH_*.json artifacts against the committed
-baselines and fail on latency regressions.
+"""Compare a freshly produced BENCH_crypto_primitives.json against the
+committed baseline and fail on latency regressions.
 
-tools/run_benches.sh rewrites the artifacts at the repo root in place, so
+tools/run_benches.sh rewrites the artifact at the repo root in place, so
 the previous numbers live in git history. This script diffs the working-tree
-files against `git show HEAD:<file>` and flags any comparable latency metric
-that got slower by more than the tolerance:
-
-  BENCH_crypto_primitives.json   ns_per_op, per benchmark name
-  BENCH_net_loopback.json        p50_us / p99_us, per (phase, resumption,
-                                 shards, concurrency, pipeline_depth) row
-  BENCH_fig3_latency.json        median_ms / mean_ms, per network
+file against `git show HEAD:<file>` and flags any benchmark whose ns_per_op
+got slower by more than the tolerance.
 
 Usage:
   tools/check_bench.py [--tolerance PCT] [--baseline REF] [files...]
 
-Throughput-style metrics (req_per_s, mb_per_s) are deliberately ignored:
-they are the reciprocal view of the same samples. A metric present on only
-one side (new benchmark, renamed phase) is reported as informational, never
-a failure — growing the suite must not break the gate. Exit status: 0 when
+Throughput-style metrics (mb_per_s, items_per_s) are deliberately ignored:
+they are the reciprocal view of the same samples. A benchmark present on
+only one side (new or renamed) is reported as informational, never a
+failure — growing the suite must not break the gate. Exit status: 0 when
 every shared metric is within tolerance, 1 otherwise, 2 on usage errors.
 
 The default tolerance is deliberately loose (35%): these are wall-clock
@@ -33,11 +28,7 @@ import os
 import subprocess
 import sys
 
-DEFAULT_FILES = [
-    "BENCH_crypto_primitives.json",
-    "BENCH_net_loopback.json",
-    "BENCH_fig3_latency.json",
-]
+DEFAULT_FILES = ["BENCH_crypto_primitives.json"]
 
 
 def load_committed(repo_root, ref, relpath):
@@ -55,28 +46,9 @@ def load_committed(repo_root, ref, relpath):
 
 
 def latency_metrics(doc):
-    """Flattens one artifact into {metric_key: value_in_its_unit}."""
-    out = {}
-    bench = doc.get("bench", "?")
-    if bench == "crypto_primitives":
-        for row in doc.get("results", []):
-            out[f"{row['name']} ns_per_op"] = row["ns_per_op"]
-    elif bench == "net_loopback":
-        for row in doc.get("phases", []):
-            key = (
-                f"{row.get('phase')} {row.get('resumption', '?')} "
-                f"shards={row.get('shards')} c={row.get('concurrency')} "
-                f"depth={row.get('pipeline_depth')}"
-            )
-            for metric in ("p50_us", "p99_us"):
-                if metric in row:
-                    out[f"{key} {metric}"] = row[metric]
-    elif bench == "fig3_latency":
-        for row in doc.get("networks", []):
-            for metric in ("median_ms", "mean_ms", "p99_ms"):
-                if metric in row:
-                    out[f"{row['name']} {metric}"] = row[metric]
-    return out
+    """Flattens one artifact into {"<benchmark> ns_per_op": value}."""
+    return {f"{row['name']} ns_per_op": row["ns_per_op"]
+            for row in doc.get("results", [])}
 
 
 def compare(relpath, fresh, baseline, tolerance):
@@ -121,7 +93,8 @@ def main():
     parser.add_argument("--baseline", default="HEAD",
                         help="git ref holding the baselines (default: HEAD)")
     parser.add_argument("files", nargs="*", default=None,
-                        help="artifacts to check (default: the known three)")
+                        help="artifacts to check (default: "
+                             "BENCH_crypto_primitives.json)")
     args = parser.parse_args()
     if args.tolerance <= 0:
         parser.error("--tolerance must be positive")

@@ -1,12 +1,15 @@
 #!/bin/sh
-# Builds (Release) and runs the benchmark suites, leaving
-# BENCH_crypto_primitives.json, BENCH_net_loopback.json, and
-# BENCH_fig3_latency.json at the repo root for regression diffing (see
-# docs/PERFORMANCE.md, docs/NETWORKING.md, and docs/OBSERVABILITY.md).
+# Builds (Release) and runs the crypto micro-benchmark suite, leaving
+# BENCH_crypto_primitives.json at the repo root, then gates it against
+# the committed copy with tools/check_bench.py (see docs/PERFORMANCE.md).
 # Run from anywhere inside the repo:
 #
-#   tools/run_benches.sh                 # both suites
-#   tools/run_benches.sh 'BM_Pbkdf2.*'   # crypto suite only, by regex
+#   tools/run_benches.sh                 # whole suite
+#   tools/run_benches.sh 'BM_Pbkdf2.*'   # by regex
+#
+# perfbench (perfbench/README.md) measures the login and password-round
+# latency end to end; the bench_fig3_latency_exact ctest holds the Fig. 3
+# artifact byte for byte.
 #
 # Note: the installed google-benchmark wants --benchmark_min_time as a
 # plain double (no "s" suffix).
@@ -38,39 +41,13 @@ cd "$repo_root"
     --benchmark_filter="$filter" \
     --benchmark_min_time=0.2
 
-# The loopback transport bench has its own closed-loop harness (no
-# google-benchmark flags); an explicit filter means "crypto only".
+# Gate: the fresh artifact just overwrote the repo-root baseline in
+# place, so diff it against the committed copy (git show HEAD:...) and
+# fail the run on step-change regressions. A filtered run leaves a
+# partial artifact, so only the whole suite is gated. Override the slack
+# with e.g. AMNESIA_BENCH_TOLERANCE=15 on a quiet machine.
 if [ "$filter" = "." ]; then
-    echo "== build bench_net_loopback"
-    cmake --build "$build_dir" -j "$jobs" --target bench_net_loopback
-    # Shard axis: unsharded baseline, half the cores, all the cores
-    # (deduplicated — a 1-core host just runs the baseline). Each phase
-    # row in the JSON carries its "shards" value.
-    half=$((jobs / 2))
-    [ "$half" -lt 1 ] && half=1
-    shard_counts=$(printf '1\n%s\n%s\n' "$half" "$jobs" | sort -un |
-        paste -sd, -)
-    # Resumption axis: full handshake per op, ticket resume per op, and
-    # pooled connections riding the shared ticket cache. Each phase row
-    # carries its "resumption" mode plus handshake/resumption deltas.
-    modes="cold,resumed,pooled"
-    echo "== run bench_net_loopback (shards: $shard_counts; modes: $modes)"
-    "$build_dir/bench/bench_net_loopback" \
-        "$repo_root/BENCH_net_loopback.json" "$shard_counts" "$modes"
-
-    # Fig. 3 latency reproduction with trace-derived critical-path
-    # attribution; virtual time, so the run is fast and the artifact is
-    # byte-identical per seed. Writes BENCH_fig3_latency.json into CWD.
-    echo "== build bench_fig3_latency"
-    cmake --build "$build_dir" -j "$jobs" --target bench_fig3_latency
-    echo "== run bench_fig3_latency"
-    "$build_dir/bench/bench_fig3_latency"
-
-    # Gate: the fresh artifacts just overwrote the repo-root baselines in
-    # place, so diff them against the committed copies (git show HEAD:...)
-    # and fail the run on step-change latency regressions. Override the
-    # slack with e.g. AMNESIA_BENCH_TOLERANCE=15 on a quiet machine.
-    echo "== check against committed baselines"
+    echo "== check against the committed baseline"
     python3 "$repo_root/tools/check_bench.py" \
         --tolerance "${AMNESIA_BENCH_TOLERANCE:-35}"
 fi
