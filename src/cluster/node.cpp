@@ -25,6 +25,13 @@ ClusterNode::ClusterNode(simnet::Simulation& sim, simnet::Network& network,
   });
 }
 
+ClusterNodeStats ClusterNode::stats() const {
+  return ClusterNodeStats{records_shipped_.value(), snapshots_sent_.value(),
+                          records_applied_.value(),
+                          snapshots_installed_.value(), promotions_.value(),
+                          lease_races_lost_};
+}
+
 ClusterNode::~ClusterNode() {
   *alive_ = false;
   if (!dead_) detach_hooks();
@@ -76,7 +83,7 @@ void ClusterNode::barrier(std::function<void()> fn) {
   barriers_.push_back(Barrier{log_seq_,
                               sim_.now() + config_.barrier_timeout_us,
                               std::move(fn)});
-  server_.metrics().counter("cluster.barriers_waited").inc();
+  barriers_waited_.inc(&server_.metrics());
   schedule_flush();
   arm_barrier_timer();
 }
@@ -104,7 +111,7 @@ void ClusterNode::arm_barrier_timer() {
       // round proceeds un-replicated (the documented durability gap).
       auto fn = std::move(barriers_.front().fn);
       barriers_.pop_front();
-      server_.metrics().counter("cluster.barrier_timeouts").inc();
+      barrier_timeouts_.inc(&server_.metrics());
       fn();
     }
     arm_barrier_timer();
@@ -201,38 +208,28 @@ void ClusterNode::flush(Peer& peer) {
   const std::size_t first = peer.acked - log_start_seq_;
   batch.reserve(log_.size() - first);
   for (std::size_t i = first; i < log_.size(); ++i) batch.push_back(log_[i]);
-  const std::uint64_t sent_tip = log_seq_;
-  peer.inflight = true;
-  ++stats_.appends_sent;
-  stats_.records_shipped += batch.size();
-  server_.metrics().counter("cluster.records_shipped").inc(batch.size());
-  const std::shared_ptr<bool> alive = alive_;
-  Peer* p = &peer;
-  peer.wire(encode_append(epoch_, peer.acked, batch),
-            [this, alive, p, sent_tip](const Result<Bytes>& result) {
-              if (!*alive) return;
-              on_peer_reply(*p, sent_tip, result);
-            });
+  records_shipped_.inc(&server_.metrics(), batch.size());
+  send(peer, encode_append(epoch_, peer.acked, batch));
 }
 
 void ClusterNode::send_snapshot(Peer& peer) {
   const storage::Database& db = server_.db().raw();
-  peer.inflight = true;
-  ++stats_.snapshots_sent;
-  server_.metrics().counter("cluster.snapshots_sent").inc();
-  const std::uint64_t sent_tip = log_seq_;
-  const std::shared_ptr<bool> alive = alive_;
-  Peer* p = &peer;
-  peer.wire(
-      encode_snapshot(epoch_, log_seq_, db.commit_offset(), db.encode_state()),
-      [this, alive, p, sent_tip](const Result<Bytes>& result) {
-        if (!*alive) return;
-        on_peer_reply(*p, sent_tip, result);
-      });
+  snapshots_sent_.inc(&server_.metrics());
+  send(peer, encode_snapshot(epoch_, log_seq_, db.commit_offset(),
+                             db.encode_state()));
 }
 
-void ClusterNode::on_peer_reply(Peer& peer, std::uint64_t sent_tip,
-                                const Result<Bytes>& result) {
+void ClusterNode::send(Peer& peer, Bytes message) {
+  peer.inflight = true;
+  const std::shared_ptr<bool> alive = alive_;
+  Peer* p = &peer;
+  peer.wire(std::move(message), [this, alive, p](const Result<Bytes>& result) {
+    if (!*alive) return;
+    on_peer_reply(*p, result);
+  });
+}
+
+void ClusterNode::on_peer_reply(Peer& peer, const Result<Bytes>& result) {
   peer.inflight = false;
   if (dead_ || role_ != Role::kPrimary) return;
   if (!result.ok()) return;  // next heartbeat tick retries via flush_all()
@@ -252,22 +249,24 @@ void ClusterNode::on_peer_reply(Peer& peer, std::uint64_t sent_tip,
       release_barriers();
       if (peer.acked < log_seq_) flush(peer);
       break;
-    case ReplStatus::kStaleEpoch: {
+    case ReplStatus::kStaleEpoch:
       // A higher-epoch primary exists: we are a fenced zombie. Stop
       // shipping; the lease's epoch check keeps us from ever coming back.
-      server_.metrics().counter("cluster.fenced").inc();
       server_.metrics().events().emit(
           obs::EventLevel::kWarn, "cluster",
           config_.node_name + ": fenced at epoch " + std::to_string(epoch_) +
               " (newer primary elected), demoting");
-      detach_hooks();
-      role_ = Role::kFollower;
-      last_primary_contact_ = sim_.now();
-      arm_failover_check();
+      fence();
       break;
-    }
   }
-  (void)sent_tip;
+}
+
+void ClusterNode::fence() {
+  fenced_.inc(&server_.metrics());
+  detach_hooks();
+  role_ = Role::kFollower;
+  last_primary_contact_ = sim_.now();
+  arm_failover_check();
 }
 
 void ClusterNode::arm_heartbeat() {
@@ -285,14 +284,7 @@ void ClusterNode::arm_heartbeat() {
         flush(*peer);  // doubles as the retry path after a failed RPC
         continue;
       }
-      peer->inflight = true;
-      ++stats_.heartbeats_sent;
-      Peer* p = peer.get();
-      peer->wire(encode_heartbeat(epoch_, log_seq_),
-                 [this, alive, p](const Result<Bytes>& result) {
-                   if (!*alive) return;
-                   on_peer_reply(*p, log_seq_, result);
-                 });
+      send(*peer, encode_heartbeat(epoch_, log_seq_));
     }
     arm_heartbeat();
   });
@@ -308,11 +300,7 @@ void ClusterNode::renew_lease() {
         if (result.value().holder != config_.node_name) {
           // Lost the lease while thinking we were primary — same fencing
           // as a stale-epoch reply.
-          server_.metrics().counter("cluster.fenced").inc();
-          detach_hooks();
-          role_ = Role::kFollower;
-          last_primary_contact_ = sim_.now();
-          arm_failover_check();
+          fence();
         }
       },
       config_.rpc_timeout_us);
@@ -364,9 +352,7 @@ void ClusterNode::handle_repl(const Bytes& body,
       // only storage state, so open spans from before the transfer cannot
       // be reconstructed (documented in docs/CLUSTER.md).
       open_stubs_.clear();
-      stats_.span_stubs_open = 0;
-      ++stats_.snapshots_installed;
-      server_.metrics().counter("cluster.snapshots_installed").inc();
+      snapshots_installed_.inc(&server_.metrics());
       respond(encode_reply(ReplStatus::kOk, applied_seq_));
       break;
   }
@@ -403,10 +389,8 @@ ReplReply ClusterNode::apply_append(const ReplMessage& msg) {
       return ReplReply{ReplStatus::kGap, applied_seq_};
     }
     ++applied_seq_;
-    ++stats_.records_applied;
+    records_applied_.inc(&server_.metrics());
   }
-  stats_.span_stubs_open = open_stubs_.size();
-  server_.metrics().counter("cluster.records_applied").inc(msg.records.size());
   return ReplReply{ReplStatus::kOk, applied_seq_};
 }
 
@@ -446,7 +430,7 @@ void ClusterNode::race_for_lease() {
         if (r.value().holder == config_.node_name) {
           promote(bid_epoch);
         } else {
-          ++stats_.lease_races_lost;
+          ++lease_races_lost_;
           epoch_ = std::max(epoch_, r.value().epoch);
           // Someone else won; give the new primary a full grace period to
           // reach us before we consider racing again.
@@ -459,8 +443,7 @@ void ClusterNode::race_for_lease() {
 void ClusterNode::promote(std::uint64_t won_epoch) {
   role_ = Role::kPrimary;
   epoch_ = won_epoch;
-  ++stats_.promotions;
-  server_.metrics().counter("cluster.promotions").inc();
+  promotions_.inc(&server_.metrics());
   server_.metrics().events().emit(
       obs::EventLevel::kInfo, "cluster",
       config_.node_name + ": promoted to primary at epoch " +
@@ -485,7 +468,6 @@ void ClusterNode::promote(std::uint64_t won_epoch) {
     server_.metrics().tracer().import_completed(std::move(stub));
   }
   open_stubs_.clear();
-  stats_.span_stubs_open = 0;
 
   // Hooks go in BEFORE promote_to_primary(): the writes promotion makes
   // (expired-poll cleanup etc.) must ship to our own followers.

@@ -67,14 +67,13 @@ struct ClusterConfig {
   std::size_t log_cap = 1024;
 };
 
+/// Read from the cluster.* counters of the same names in the server's
+/// registry; lease_races_lost has no counter and is a plain count.
 struct ClusterNodeStats {
   std::uint64_t records_shipped = 0;
-  std::uint64_t appends_sent = 0;
   std::uint64_t snapshots_sent = 0;
-  std::uint64_t heartbeats_sent = 0;
   std::uint64_t records_applied = 0;
   std::uint64_t snapshots_installed = 0;
-  std::uint64_t span_stubs_open = 0;  // current, not cumulative
   std::uint64_t promotions = 0;
   std::uint64_t lease_races_lost = 0;
 };
@@ -126,8 +125,7 @@ class ClusterNode {
   }
   /// Records shipped but not yet acked by the slowest follower.
   std::uint64_t replication_lag() const;
-  std::size_t follower_count() const { return peers_.size(); }
-  const ClusterNodeStats& stats() const { return stats_; }
+  ClusterNodeStats stats() const;
   server::AmnesiaServer& server() { return server_; }
   const std::string& name() const { return config_.node_name; }
 
@@ -165,8 +163,11 @@ class ClusterNode {
   void flush_all();
   void flush(Peer& peer);
   void send_snapshot(Peer& peer);
-  void on_peer_reply(Peer& peer, std::uint64_t sent_tip,
-                     const Result<Bytes>& result);
+  /// Sends one message to `peer`, in flight until on_peer_reply().
+  void send(Peer& peer, Bytes message);
+  void on_peer_reply(Peer& peer, const Result<Bytes>& result);
+  /// Demotes a primary that learned of a newer one.
+  void fence();
   void arm_heartbeat();
   void arm_failover_check();
   void renew_lease();
@@ -221,7 +222,17 @@ class ClusterNode {
   static constexpr std::size_t kMaxOpenStubs = 8192;
 
   std::function<void()> on_promote_;
-  ClusterNodeStats stats_;
+
+  // In the server's registry, each looked up at its first event.
+  obs::LazyCounter records_shipped_{"cluster.records_shipped"};
+  obs::LazyCounter snapshots_sent_{"cluster.snapshots_sent"};
+  obs::LazyCounter records_applied_{"cluster.records_applied"};
+  obs::LazyCounter snapshots_installed_{"cluster.snapshots_installed"};
+  obs::LazyCounter promotions_{"cluster.promotions"};
+  obs::LazyCounter barriers_waited_{"cluster.barriers_waited"};
+  obs::LazyCounter barrier_timeouts_{"cluster.barrier_timeouts"};
+  obs::LazyCounter fenced_{"cluster.fenced"};
+  std::uint64_t lease_races_lost_ = 0;
 };
 
 }  // namespace amnesia::cluster

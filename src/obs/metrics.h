@@ -33,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/clock.h"
@@ -243,6 +244,52 @@ class MetricsRegistry {
   Tracer tracer_;
   EventLog events_;
 };
+
+/// One named metric, looked up in its registry at its first use and held
+/// from then on. It joins the registry's snapshot exactly when its first
+/// event fires, as a lookup at the event would, and later events skip the
+/// lookup (the name check, the registry mutex and the map walk). A null
+/// registry counts nothing; a different registry is looked up afresh.
+/// The held pointer is atomic, so other threads may read value().
+template <class Metric>
+class LazyMetric {
+ public:
+  explicit LazyMetric(const char* name) : name_(name) {}
+
+  Metric* get(MetricsRegistry* registry) {
+    if (registry == nullptr) return nullptr;
+    Metric* m = held_.load(std::memory_order_acquire);
+    if (m == nullptr || registry != from_) {
+      if constexpr (std::is_same_v<Metric, Counter>) {
+        m = &registry->counter(name_);
+      } else if constexpr (std::is_same_v<Metric, Gauge>) {
+        m = &registry->gauge(name_);
+      } else {
+        m = &registry->histogram(name_);
+      }
+      from_ = registry;
+      held_.store(m, std::memory_order_release);
+    }
+    return m;
+  }
+  void inc(MetricsRegistry* registry, std::uint64_t n = 1) {
+    if (Metric* m = get(registry)) m->inc(n);
+  }
+  /// Reads without a lookup: before its first event the metric reads 0.
+  auto value() const {
+    const Metric* m = held_.load(std::memory_order_acquire);
+    return m ? m->value() : decltype(m->value()){};
+  }
+
+ private:
+  const char* name_;
+  MetricsRegistry* from_ = nullptr;
+  std::atomic<Metric*> held_{nullptr};
+};
+
+using LazyCounter = LazyMetric<Counter>;
+using LazyGauge = LazyMetric<Gauge>;
+using LazyHistogram = LazyMetric<Histogram>;
 
 /// RAII timer: records the elapsed clock time into a histogram on
 /// destruction. For synchronous sections only — async intervals capture

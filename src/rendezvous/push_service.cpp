@@ -13,7 +13,6 @@ constexpr std::uint8_t kOpPush = 0x02;
 constexpr std::uint8_t kOpConnect = 0x03;
 constexpr std::uint8_t kOpUnregister = 0x04;
 constexpr std::uint8_t kOpLeaseAcquire = 0x05;
-constexpr std::uint8_t kOpLeaseGet = 0x06;
 
 constexpr std::uint8_t kStatusOk = 0x00;
 constexpr std::uint8_t kStatusUnknownId = 0x01;
@@ -45,9 +44,12 @@ void PushService::set_metrics(obs::MetricsRegistry* registry) {
       registry ? &registry->histogram("push.delivery_latency_us") : nullptr;
 }
 
-void PushService::count(std::uint64_t PushStats::* field, const char* name) {
-  ++(stats_.*field);
-  if (metrics_) metrics_->counter(name).inc();
+PushStats PushService::stats() const {
+  return PushStats{registered_.value(),    pushes_accepted_.value(),
+                   pushes_delivered_.value(), pushes_queued_.value(),
+                   pushes_expired_.value(),   pushes_dropped_overflow_.value(),
+                   unknown_registration_.value(), lease_grants_.value(),
+                   lease_rejections_.value()};
 }
 
 void PushService::end_queued_span(const QueuedPush& push,
@@ -66,7 +68,7 @@ void PushService::reap_expired() {
       if (it->expires_at <= now) {
         end_queued_span(*it, "expired: ttl passed");
         it = reg.queue.erase(it);
-        count(&PushStats::pushes_expired, "push.pushes_expired");
+        pushes_expired_.inc(metrics_);
       } else {
         ++it;
       }
@@ -74,14 +76,10 @@ void PushService::reap_expired() {
   }
 }
 
-bool PushService::try_deliver(const std::string& reg_id, Registration& reg) {
+bool PushService::reachable(const Registration& reg) const {
   // GCM can deliver only when the device is reachable; the network layer
   // knows whether the node is attached and online.
-  if (!network_.attached(reg.device) || !network_.online(reg.device)) {
-    return false;
-  }
-  (void)reg_id;
-  return true;
+  return network_.attached(reg.device) && network_.online(reg.device);
 }
 
 void PushService::handle_rpc(const simnet::NodeId& from, const Bytes& body,
@@ -96,7 +94,7 @@ void PushService::handle_rpc(const simnet::NodeId& from, const Bytes& body,
         // Registration ids are opaque and unguessable, like GCM tokens.
         const std::string reg_id = "gcm-" + hex_encode(rng_.bytes(16));
         registrations_[reg_id] = Registration{device, {}};
-        count(&PushStats::registrations, "push.registrations");
+        registered_.inc(metrics_);
         storage::BufWriter w;
         w.u8(kStatusOk);
         w.str(reg_id);
@@ -120,7 +118,7 @@ void PushService::handle_rpc(const simnet::NodeId& from, const Bytes& body,
         }
         const auto it = registrations_.find(reg_id);
         if (it == registrations_.end()) {
-          count(&PushStats::unknown_registration, "push.unknown_registration");
+          unknown_registration_.inc(metrics_);
           if (deliver_span.valid()) {
             metrics_->tracer().add_event(deliver_span, "unknown registration");
             metrics_->tracer().end(deliver_span);
@@ -128,11 +126,11 @@ void PushService::handle_rpc(const simnet::NodeId& from, const Bytes& body,
           respond(status_reply(kStatusUnknownId));
           return;
         }
-        count(&PushStats::pushes_accepted, "push.pushes_accepted");
+        pushes_accepted_.inc(metrics_);
         Registration& reg = it->second;
-        if (try_deliver(reg_id, reg)) {
+        if (reachable(reg)) {
           node_->send_oneway(reg.device, payload);
-          count(&PushStats::pushes_delivered, "push.pushes_delivered");
+          pushes_delivered_.inc(metrics_);
           if (delivery_latency_) delivery_latency_->record(0);
           if (deliver_span.valid()) metrics_->tracer().end(deliver_span);
         } else {
@@ -142,8 +140,7 @@ void PushService::handle_rpc(const simnet::NodeId& from, const Bytes& body,
             // to be expired/superseded, so it is the one to drop.
             end_queued_span(reg.queue.front(), "dropped: queue overflow");
             reg.queue.pop_front();
-            count(&PushStats::pushes_dropped_overflow,
-                  "push.pushes_dropped_overflow");
+            pushes_dropped_overflow_.inc(metrics_);
           }
           if (deliver_span.valid()) {
             metrics_->tracer().add_event(deliver_span,
@@ -151,7 +148,7 @@ void PushService::handle_rpc(const simnet::NodeId& from, const Bytes& body,
           }
           reg.queue.push_back(
               QueuedPush{payload, now + ttl_us, now, deliver_span});
-          count(&PushStats::pushes_queued, "push.pushes_queued");
+          pushes_queued_.inc(metrics_);
         }
         respond(status_reply(kStatusOk));
         return;
@@ -160,7 +157,7 @@ void PushService::handle_rpc(const simnet::NodeId& from, const Bytes& body,
         const std::string reg_id = r.str();
         const auto it = registrations_.find(reg_id);
         if (it == registrations_.end()) {
-          count(&PushStats::unknown_registration, "push.unknown_registration");
+          unknown_registration_.inc(metrics_);
           respond(status_reply(kStatusUnknownId));
           return;
         }
@@ -169,7 +166,7 @@ void PushService::handle_rpc(const simnet::NodeId& from, const Bytes& body,
         reg.device = from;
         while (!reg.queue.empty()) {
           node_->send_oneway(reg.device, reg.queue.front().payload);
-          count(&PushStats::pushes_delivered, "push.pushes_delivered");
+          pushes_delivered_.inc(metrics_);
           if (delivery_latency_) {
             delivery_latency_->record(network_.sim().now() -
                                       reg.queue.front().queued_at);
@@ -205,30 +202,14 @@ void PushService::handle_rpc(const simnet::NodeId& from, const Bytes& body,
             epoch > lease.epoch;
         if (granted) {
           lease = Lease{node, epoch, now + ttl_us};
-          count(&PushStats::lease_grants, "push.lease_grants");
+          lease_grants_.inc(metrics_);
         } else {
-          count(&PushStats::lease_rejections, "push.lease_rejections");
+          lease_rejections_.inc(metrics_);
         }
         storage::BufWriter w;
         w.u8(granted ? kStatusOk : kStatusLeaseHeld);
         w.str(lease.holder);
         w.u64(lease.epoch);
-        respond(w.take());
-        return;
-      }
-      case kOpLeaseGet: {
-        const std::string cluster_id = r.str();
-        const Micros now = network_.sim().now();
-        storage::BufWriter w;
-        w.u8(kStatusOk);
-        const auto it = leases_.find(cluster_id);
-        if (it == leases_.end() || it->second.expires_at <= now) {
-          w.str("");
-          w.u64(it == leases_.end() ? 0 : it->second.epoch);
-        } else {
-          w.str(it->second.holder);
-          w.u64(it->second.epoch);
-        }
         respond(w.take());
         return;
       }
@@ -356,20 +337,6 @@ void PushClient::acquire_lease(const std::string& cluster_id,
   w.str(node_id);
   w.u64(epoch);
   w.i64(ttl_us);
-  node_.request(
-      service_, w.take(),
-      [cb = std::move(cb)](Result<Bytes> r) {
-        parse_lease_reply(std::move(r), cb);
-      },
-      timeout_us);
-}
-
-void PushClient::get_lease(const std::string& cluster_id,
-                           std::function<void(Result<LeaseState>)> cb,
-                           Micros timeout_us) {
-  storage::BufWriter w;
-  w.u8(kOpLeaseGet);
-  w.str(cluster_id);
   node_.request(
       service_, w.take(),
       [cb = std::move(cb)](Result<Bytes> r) {

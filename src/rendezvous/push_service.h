@@ -20,7 +20,6 @@
 //   0x04 unregister : reg_id                 -> ok | unknown_id
 //   0x05 lease_acquire : cluster_id, node, epoch, ttl_us
 //                        -> status + holder + holder_epoch
-//   0x06 lease_get     : cluster_id          -> ok + holder + holder_epoch
 //
 // The lease ops anchor the cluster layer's primary election: every replica
 // already depends on the rendezvous service (it is where pushes must go),
@@ -47,6 +46,8 @@
 
 namespace amnesia::rendezvous {
 
+/// Read from the push.* registry counters of the same names, so without
+/// a registry (set_metrics) every field reads 0.
 struct PushStats {
   std::uint64_t registrations = 0;
   std::uint64_t pushes_accepted = 0;
@@ -66,13 +67,13 @@ class PushService {
               RandomSource& rng);
 
   const simnet::NodeId& node_id() const { return node_->id(); }
-  const PushStats& stats() const { return stats_; }
+  PushStats stats() const;
 
   /// Expires queued messages whose TTL has passed (called internally on
   /// every touch; exposed for tests).
   void reap_expired();
 
-  /// Publishes push.* counters mirroring PushStats plus
+  /// Publishes the push.* counters PushStats reads, plus
   /// push.delivery_latency_us, the accept-to-forward delay in virtual time
   /// (zero for online devices, the store-and-forward wait otherwise).
   void set_metrics(obs::MetricsRegistry* registry);
@@ -103,9 +104,8 @@ class PushService {
 
   void handle_rpc(const simnet::NodeId& from, const Bytes& body,
                   std::function<void(Bytes)> respond);
-  bool try_deliver(const std::string& reg_id, Registration& reg);
+  bool reachable(const Registration& reg) const;
 
-  void count(std::uint64_t PushStats::* field, const char* name);
   /// Closes the deliver span of a queued push with an outcome event
   /// (flushed / expired / dropped).
   void end_queued_span(const QueuedPush& push, const char* outcome);
@@ -116,9 +116,18 @@ class PushService {
   std::map<std::string, Registration> registrations_;
   std::map<std::string, Lease> leases_;
   std::size_t max_queue_per_device_ = 64;
-  PushStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Histogram* delivery_latency_ = nullptr;
+  // Each looked up at its first event.
+  obs::LazyCounter registered_{"push.registrations"};
+  obs::LazyCounter pushes_accepted_{"push.pushes_accepted"};
+  obs::LazyCounter pushes_delivered_{"push.pushes_delivered"};
+  obs::LazyCounter pushes_queued_{"push.pushes_queued"};
+  obs::LazyCounter pushes_expired_{"push.pushes_expired"};
+  obs::LazyCounter pushes_dropped_overflow_{"push.pushes_dropped_overflow"};
+  obs::LazyCounter unknown_registration_{"push.unknown_registration"};
+  obs::LazyCounter lease_grants_{"push.lease_grants"};
+  obs::LazyCounter lease_rejections_{"push.lease_rejections"};
 };
 
 /// Client helpers used by the phone and the Amnesia server.
@@ -157,11 +166,6 @@ class PushClient {
                      std::uint64_t epoch, Micros ttl_us,
                      std::function<void(Result<LeaseState>)> cb,
                      Micros timeout_us = simnet::Node::kDefaultTimeoutUs);
-
-  /// Reads the current lease (empty holder = none / expired).
-  void get_lease(const std::string& cluster_id,
-                 std::function<void(Result<LeaseState>)> cb,
-                 Micros timeout_us = simnet::Node::kDefaultTimeoutUs);
 
  private:
   simnet::Node& node_;

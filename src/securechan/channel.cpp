@@ -190,6 +190,21 @@ void SecureServer::set_metrics(obs::MetricsRegistry* registry) {
   metrics_ = registry;
 }
 
+SecureServerStats SecureServer::stats() const {
+  return SecureServerStats{
+      handshakes_.value(),       records_opened_.value(),
+      records_rejected_.value(), replays_rejected_.value(),
+      resumptions_.value(),      resumptions_rejected_.value(),
+      resume_replays_rejected_.value(), tickets_issued_.value()};
+}
+
+void SecureServer::send(Bytes wire,
+                        const std::function<void(Bytes)>& respond) {
+  records_sealed_.inc(metrics_);
+  bytes_out_.inc(metrics_, wire.size());
+  respond(std::move(wire));
+}
+
 void SecureServer::set_ticket_keys(std::shared_ptr<TicketKeyStore> keys) {
   if (keys) ticket_keys_ = std::move(keys);
 }
@@ -208,13 +223,9 @@ void SecureServer::bind(simnet::Node& node) {
 
 void SecureServer::handle_wire(const Bytes& wire,
                                std::function<void(Bytes)> respond) {
-  if (metrics_) {
-    metrics_->counter("securechan.bytes_in")
-        .inc(static_cast<std::uint64_t>(wire.size()));
-  }
+  bytes_in_.inc(metrics_, wire.size());
   if (wire.empty()) {
-    ++stats_.records_rejected;
-    if (metrics_) metrics_->counter("securechan.records_rejected").inc();
+    records_rejected_.inc(metrics_);
     return;  // silent drop, like a TLS terminator on garbage
   }
   storage::BufReader r(wire);
@@ -230,40 +241,10 @@ void SecureServer::handle_wire(const Bytes& wire,
 
       const auto shared = crypto::x25519(static_keys_.private_key, eph_pub);
       const Bytes server_nonce = rng_.bytes(kNonceLen);
-      const std::uint64_t channel_id = next_channel_id_++;
-      SessionSecrets secrets =
-          derive_full_session(ByteView(shared.data(), shared.size()),
-                              client_nonce, server_nonce);
-      Channel chan;
-      chan.keys = std::move(secrets.keys);
-
-      // Key confirmation: record seq 0 in the server->client direction.
-      seal_record_into(chan.keys.server_to_client_key,
-                       chan.keys.server_to_client_iv, 0,
-                       direction_aad(1, channel_id),
-                       to_bytes(std::string(kConfirmPayload)),
-                       chan.seal_scratch);
-
-      storage::BufWriter w;
-      w.u8(kServerHello);
-      for (std::uint8_t b : server_nonce) w.u8(b);
-      w.u64(channel_id);
-      w.bytes(chan.seal_scratch);
-      // Trailing ticket: pre-resumption clients never look past the
-      // confirm record, so this extension is wire-compatible.
-      w.bytes(ticket_keys_->seal(secrets.resumption_secret, rng_));
-      ++stats_.tickets_issued;
-      channels_.emplace(channel_id, std::move(chan));
-      ++stats_.handshakes;
-      Bytes hello = w.take();
-      if (metrics_) {
-        metrics_->counter("securechan.handshakes").inc();
-        metrics_->counter("securechan.tickets_issued").inc();
-        metrics_->counter("securechan.records_sealed").inc();
-        metrics_->counter("securechan.bytes_out")
-            .inc(static_cast<std::uint64_t>(hello.size()));
-      }
-      respond(std::move(hello));
+      open_channel(kServerHello, server_nonce,
+                   derive_full_session(ByteView(shared.data(), shared.size()),
+                                       client_nonce, server_nonce),
+                   handshakes_, respond);
       return;
     }
     if (type == kResumeHello) {
@@ -280,27 +261,23 @@ void SecureServer::handle_wire(const Bytes& wire,
       if (!r.done()) trace = r.str();
       const auto it = channels_.find(channel_id);
       if (it == channels_.end()) {
-        ++stats_.records_rejected;
-        if (metrics_) metrics_->counter("securechan.records_rejected").inc();
+        records_rejected_.inc(metrics_);
         return;
       }
       Channel& chan = it->second;
       if (!chan.client_seqs.fresh(seq)) {
-        ++stats_.replays_rejected;
-        if (metrics_) metrics_->counter("securechan.replays_rejected").inc();
+        replays_rejected_.inc(metrics_);
         return;
       }
       if (!open_record_into(chan.keys.client_to_server_key,
                             chan.keys.client_to_server_iv, seq,
                             direction_aad(0, channel_id), sealed,
                             chan.open_scratch)) {
-        ++stats_.records_rejected;
-        if (metrics_) metrics_->counter("securechan.records_rejected").inc();
+        records_rejected_.inc(metrics_);
         return;
       }
       chan.client_seqs.mark(seq);
-      ++stats_.records_opened;
-      if (metrics_) metrics_->counter("securechan.records_opened").inc();
+      records_opened_.inc(metrics_);
       if (!handler_) return;
       const std::uint64_t channel_id_copy = channel_id;
       // A parseable trace slot becomes the ambient context for the
@@ -329,21 +306,14 @@ void SecureServer::handle_wire(const Bytes& wire,
         w.u64(reply_seq);
         w.bytes(c.seal_scratch);
         if (!canonical_trace.empty()) w.str(canonical_trace);
-        Bytes out = w.take();
-        if (metrics_) {
-          metrics_->counter("securechan.records_sealed").inc();
-          metrics_->counter("securechan.bytes_out")
-              .inc(static_cast<std::uint64_t>(out.size()));
-        }
-        respond(std::move(out));
+        send(w.take(), respond);
       });
       return;
     }
   } catch (const FormatError&) {
     // fall through to reject
   }
-  ++stats_.records_rejected;
-  if (metrics_) metrics_->counter("securechan.records_rejected").inc();
+  records_rejected_.inc(metrics_);
 }
 
 void SecureServer::handle_resume_hello(storage::BufReader& r,
@@ -353,16 +323,9 @@ void SecureServer::handle_resume_hello(storage::BufReader& r,
   // falls back to a full handshake in one round trip instead of a
   // timeout. A hostile sender learns only "no".
   auto reject = [&] {
-    ++stats_.resumptions_rejected;
-    if (metrics_) {
-      metrics_->counter("securechan.resumptions_rejected").inc();
-    }
-    Bytes nack{kResumeReject};
-    if (metrics_) {
-      metrics_->counter("securechan.bytes_out")
-          .inc(static_cast<std::uint64_t>(nack.size()));
-    }
-    respond(std::move(nack));
+    resumptions_rejected_.inc(metrics_);
+    bytes_out_.inc(metrics_, 1);  // the one-byte nack
+    respond(Bytes{kResumeReject});
   };
 
   Bytes ticket;
@@ -391,50 +354,49 @@ void SecureServer::handle_resume_hello(storage::BufReader& r,
     return;
   }
   if (!resume_window_.insert(client_nonce)) {
-    ++stats_.resume_replays_rejected;
-    if (metrics_) {
-      metrics_->counter("securechan.resume_replays_rejected").inc();
-    }
+    resume_replays_rejected_.inc(metrics_);
     reject();
     return;
   }
 
   const Bytes server_nonce = rng_.bytes(kNonceLen);
-  const std::uint64_t channel_id = next_channel_id_++;
   SessionSecrets secrets =
       derive_resumed_session(*rms, client_nonce, server_nonce);
   secure_wipe(*rms);
+  open_channel(kResumeOk, server_nonce, std::move(secrets), resumptions_,
+               respond);
+}
+
+void SecureServer::open_channel(std::uint8_t reply_type,
+                                const Bytes& server_nonce,
+                                SessionSecrets secrets,
+                                obs::LazyCounter& opened,
+                                const std::function<void(Bytes)>& respond) {
+  const std::uint64_t channel_id = next_channel_id_++;
   Channel chan;
   chan.keys = std::move(secrets.keys);
-
-  // Same key-confirmation discipline as the full handshake: only a
-  // holder of the ticket key (i.e. the real fleet) can derive these keys.
+  // Key confirmation: record seq 0 in the server->client direction. Only a
+  // holder of the static key (full handshake) or of the ticket key (the
+  // fleet, on resumption) can derive these keys.
   seal_record_into(chan.keys.server_to_client_key,
                    chan.keys.server_to_client_iv, 0,
                    direction_aad(1, channel_id),
                    to_bytes(std::string(kConfirmPayload)), chan.seal_scratch);
 
   storage::BufWriter w;
-  w.u8(kResumeOk);
+  w.u8(reply_type);
   w.raw(server_nonce);
   w.u64(channel_id);
   w.bytes(chan.seal_scratch);
-  // Ticket chaining: every resumed session mints a successor ticket
-  // under a successor secret, so one stolen ticket never replays into
-  // more than the replay window already allows.
+  // Trailing ticket. Clients from before resumption never look past the
+  // confirm record, so it is wire-compatible; a resumption mints a
+  // successor ticket under a successor secret (ticket chaining), so one
+  // stolen ticket never replays past what the replay window allows.
   w.bytes(ticket_keys_->seal(secrets.resumption_secret, rng_));
-  ++stats_.tickets_issued;
+  tickets_issued_.inc(metrics_);
   channels_.emplace(channel_id, std::move(chan));
-  ++stats_.resumptions;
-  Bytes ok = w.take();
-  if (metrics_) {
-    metrics_->counter("securechan.resumptions").inc();
-    metrics_->counter("securechan.tickets_issued").inc();
-    metrics_->counter("securechan.records_sealed").inc();
-    metrics_->counter("securechan.bytes_out")
-        .inc(static_cast<std::uint64_t>(ok.size()));
-  }
-  respond(std::move(ok));
+  opened.inc(metrics_);
+  send(w.take(), respond);
 }
 
 // ---------------------------------------------------------------- client
@@ -507,6 +469,13 @@ void SecureClient::set_metrics(obs::MetricsRegistry* registry,
   metrics_clock_ = clock;
 }
 
+void SecureClient::record_handshake(obs::LazyHistogram& by_kind) {
+  if (!metrics_ || !metrics_clock_) return;
+  const Micros rtt = metrics_clock_->now_us() - handshake_started_us_;
+  handshake_latency_.get(metrics_)->record(rtt);
+  by_kind.get(metrics_)->record(rtt);
+}
+
 const ChannelKeys* SecureClient::debug_keys() const {
   return channel_ ? &channel_->keys : nullptr;
 }
@@ -535,7 +504,7 @@ void SecureClient::send_record(Bytes plaintext, std::string trace,
                    chan.keys.client_to_server_iv, seq,
                    direction_aad(0, chan.channel_id), plaintext,
                    chan.seal_scratch);
-  if (metrics_) metrics_->counter("securechan.records_sealed").inc();
+  records_sealed_.inc(metrics_);
   storage::BufWriter w;
   w.u8(kData);
   w.u64(chan.channel_id);
@@ -625,9 +594,7 @@ void SecureClient::start_resume() {
         // Queued requests never observe the attempt.
         auto fall_back = [this] {
           forget_ticket();
-          if (metrics_) {
-            metrics_->counter("securechan.client_resumptions_rejected").inc();
-          }
+          resumptions_rejected_.inc(metrics_);
           start_full_handshake();
         };
         if (!wire.ok()) {
@@ -660,17 +627,8 @@ void SecureClient::start_resume() {
             fall_back();
             return;
           }
-          if (metrics_) {
-            metrics_->counter("securechan.client_resumptions").inc();
-            if (metrics_clock_) {
-              const Micros rtt =
-                  metrics_clock_->now_us() - handshake_started_us_;
-              metrics_->histogram("securechan.handshake_latency_us")
-                  .record(rtt);
-              metrics_->histogram("securechan.handshake_latency_us.resumed")
-                  .record(rtt);
-            }
-          }
+          resumptions_.inc(metrics_);
+          record_handshake(handshake_latency_resumed_);
           install_session(channel_id, std::move(secrets),
                           std::move(next_ticket));
         } catch (const FormatError&) {
@@ -735,17 +693,8 @@ void SecureClient::start_full_handshake() {
             return;
           }
           secure_wipe(pending_eph_private_);
-          if (metrics_) {
-            metrics_->counter("securechan.client_handshakes").inc();
-            if (metrics_clock_) {
-              const Micros rtt =
-                  metrics_clock_->now_us() - handshake_started_us_;
-              metrics_->histogram("securechan.handshake_latency_us")
-                  .record(rtt);
-              metrics_->histogram("securechan.handshake_latency_us.cold")
-                  .record(rtt);
-            }
-          }
+          handshakes_.inc(metrics_);
+          record_handshake(handshake_latency_cold_);
           install_session(channel_id, std::move(secrets), std::move(ticket));
         } catch (const FormatError& e) {
           fail_all(Err::kVerificationFailed,

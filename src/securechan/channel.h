@@ -171,6 +171,8 @@ class SeqWindow {
   std::array<std::uint64_t, kSize / 64> bits_{};
 };
 
+/// Read from the securechan.* registry counters of the same names, so
+/// without a registry (set_metrics) every field reads 0.
 struct SecureServerStats {
   std::uint64_t handshakes = 0;
   std::uint64_t records_opened = 0;
@@ -201,11 +203,11 @@ class SecureServer {
   /// Handles one raw RPC body (exposed for tests without a network).
   void handle_wire(const Bytes& wire, std::function<void(Bytes)> respond);
 
-  const SecureServerStats& stats() const { return stats_; }
+  SecureServerStats stats() const;
 
   /// Publishes securechan.* metrics: handshake / record counters and
   /// wire bytes_in / bytes_out (ciphertext sizes, the paper's Table 3
-  /// traffic view).
+  /// traffic view). Each is looked up at its first event.
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Replaces the ticket-sealing key store. A sharded deployment installs
@@ -237,16 +239,37 @@ class SecureServer {
 
   void handle_resume_hello(storage::BufReader& r,
                            std::function<void(Bytes)>& respond);
+  /// Opens a channel under `secrets` and answers with `reply_type`, the
+  /// server nonce, the channel id, the key-confirmation record and a new
+  /// ticket; counts it in `opened` (handshakes or resumptions).
+  void open_channel(std::uint8_t reply_type, const Bytes& server_nonce,
+                    SessionSecrets secrets, obs::LazyCounter& opened,
+                    const std::function<void(Bytes)>& respond);
+  /// Counts one sealed record of `wire.size()` bytes and sends it.
+  void send(Bytes wire, const std::function<void(Bytes)>& respond);
 
   crypto::X25519KeyPair static_keys_;
   RandomSource& rng_;
   PlainHandler handler_;
   std::map<std::uint64_t, Channel> channels_;
   std::uint64_t next_channel_id_ = 1;
-  SecureServerStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::shared_ptr<TicketKeyStore> ticket_keys_;
   ReplayWindow resume_window_{kDefaultResumeReplayCapacity};
+
+  // Each looked up at its first event.
+  obs::LazyCounter bytes_in_{"securechan.bytes_in"};
+  obs::LazyCounter bytes_out_{"securechan.bytes_out"};
+  obs::LazyCounter handshakes_{"securechan.handshakes"};
+  obs::LazyCounter tickets_issued_{"securechan.tickets_issued"};
+  obs::LazyCounter records_sealed_{"securechan.records_sealed"};
+  obs::LazyCounter records_opened_{"securechan.records_opened"};
+  obs::LazyCounter records_rejected_{"securechan.records_rejected"};
+  obs::LazyCounter replays_rejected_{"securechan.replays_rejected"};
+  obs::LazyCounter resumptions_{"securechan.resumptions"};
+  obs::LazyCounter resumptions_rejected_{"securechan.resumptions_rejected"};
+  obs::LazyCounter resume_replays_rejected_{
+      "securechan.resume_replays_rejected"};
 };
 
 /// Client side: performs the pinned-key handshake lazily on the first
@@ -362,6 +385,10 @@ class SecureClient {
   void send_record(Bytes plaintext, std::string trace,
                    std::function<void(Result<Bytes>)> cb);
 
+  /// Records a completed handshake's round trip into the overall and the
+  /// per-kind latency histograms.
+  void record_handshake(obs::LazyHistogram& by_kind);
+
   WireFn wire_;
   crypto::X25519Key pinned_server_key_;
   RandomSource& rng_;
@@ -369,6 +396,17 @@ class SecureClient {
   bool handshake_in_flight_ = false;
   obs::MetricsRegistry* metrics_ = nullptr;
   const Clock* metrics_clock_ = nullptr;
+  // Each looked up at its first event.
+  obs::LazyCounter records_sealed_{"securechan.records_sealed"};
+  obs::LazyCounter handshakes_{"securechan.client_handshakes"};
+  obs::LazyCounter resumptions_{"securechan.client_resumptions"};
+  obs::LazyCounter resumptions_rejected_{
+      "securechan.client_resumptions_rejected"};
+  obs::LazyHistogram handshake_latency_{"securechan.handshake_latency_us"};
+  obs::LazyHistogram handshake_latency_cold_{
+      "securechan.handshake_latency_us.cold"};
+  obs::LazyHistogram handshake_latency_resumed_{
+      "securechan.handshake_latency_us.resumed"};
   // Requests issued before the handshake completes. The trace context is
   // captured at request() time: by the time the handshake completes and
   // the queue flushes, the caller's ambient context is gone.

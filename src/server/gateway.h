@@ -93,8 +93,6 @@ class NetGateway {
   NetGateway(const NetGateway&) = delete;
   NetGateway& operator=(const NetGateway&) = delete;
 
-  std::size_t open_rpc_peers() const { return peers_.size(); }
-
  private:
   void on_secure_stream(net::StreamPtr stream);
   void on_http_stream(net::StreamPtr stream);

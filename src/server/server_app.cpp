@@ -72,6 +72,18 @@ std::optional<std::uint64_t> parse_bounded_decimal(const std::string& s,
   return value;
 }
 
+/// The ?since= filter of /events and /slowlog: 0 when absent, nullopt
+/// once a malformed value has been answered with a 400.
+std::optional<Micros> since_filter(const Request& req,
+                                   const Responder& respond) {
+  const auto it = req.query.find("since");
+  if (it == req.query.end()) return 0;
+  const auto parsed = parse_bounded_decimal(
+      it->second, std::numeric_limits<std::int64_t>::max());
+  if (!parsed) respond(Response::error(400, "malformed since filter"));
+  return parsed ? std::optional<Micros>(*parsed) : std::nullopt;
+}
+
 }  // namespace
 
 AmnesiaServer::AmnesiaServer(simnet::Simulation& sim,
@@ -125,6 +137,21 @@ AmnesiaServer::AmnesiaServer(simnet::Simulation& sim,
     http_.handle_bytes(plain, std::move(respond));
   });
   secure_.bind(*node_);
+}
+
+AmnesiaServerStats AmnesiaServer::stats() const {
+  AmnesiaServerStats s = plain_;
+  s.password_requests = password_requests_.value();
+  s.passwords_generated = passwords_generated_.value();
+  s.requests_declined = requests_declined_.value();
+  s.requests_timed_out = requests_timed_out_.value();
+  s.cache_hits = cache_hits_.value();
+  s.push_failures = push_failures_.value();
+  s.poll_enqueued = poll_enqueued_.value();
+  s.poll_delivered = poll_delivered_.value();
+  s.rounds_recovered = rounds_recovered_.value();
+  s.awaits_parked = awaits_parked_.value();
+  return s;
 }
 
 AmnesiaServer::~AmnesiaServer() {
@@ -193,6 +220,11 @@ void AmnesiaServer::install_routes() {
   route(Method::kPost, "/token", &AmnesiaServer::handle_token);
   route(Method::kPost, "/token/decline",
         &AmnesiaServer::handle_token_decline);
+  // The phone's answer completes a round that already holds a worker, and
+  // the phone takes any status as final: a shed answer would strand the
+  // round until its phone-wait timeout. So these queue past the bound.
+  http_.never_shed("/token");
+  http_.never_shed("/token/decline");
   route(Method::kPost, "/recover/phone",
         &AmnesiaServer::handle_recover_phone);
   route(Method::kPost, "/recover/mp/start",
@@ -263,18 +295,10 @@ void AmnesiaServer::install_routes() {
           }
           min_level = *parsed;
         }
-        Micros since = 0;
-        if (const auto it = req.query.find("since"); it != req.query.end()) {
-          const auto parsed = parse_bounded_decimal(
-              it->second, std::numeric_limits<std::int64_t>::max());
-          if (!parsed) {
-            respond(Response::error(400, "malformed since filter"));
-            return;
-          }
-          since = static_cast<Micros>(*parsed);
-        }
+        const auto since = since_filter(req, respond);
+        if (!since) return;
         respond(Response::ok_text(
-            metrics_.events().to_json_lines(min_level, since)));
+            metrics_.events().to_json_lines(min_level, *since)));
       });
   http_.metrics_exempt("/events");
 
@@ -305,17 +329,9 @@ void AmnesiaServer::install_routes() {
   http_.router().add(
       Method::kGet, "/slowlog",
       [this](const Request& req, const PathParams&, Responder respond) {
-        Micros since = 0;
-        if (const auto it = req.query.find("since"); it != req.query.end()) {
-          const auto parsed = parse_bounded_decimal(
-              it->second, std::numeric_limits<std::int64_t>::max());
-          if (!parsed) {
-            respond(Response::error(400, "malformed since filter"));
-            return;
-          }
-          since = static_cast<Micros>(*parsed);
-        }
-        respond(Response::ok_text(slowlog_.to_json_lines(since)));
+        const auto since = since_filter(req, respond);
+        if (!since) return;
+        respond(Response::ok_text(slowlog_.to_json_lines(*since)));
       });
   http_.metrics_exempt("/slowlog");
 
@@ -372,7 +388,7 @@ void AmnesiaServer::handle_signup(const Request& req,
                     mp_hasher_.hash(to_bytes(*mp), rng_), std::nullopt,
                     std::nullopt};
   db_.create_user(record);
-  ++stats_.signups;
+  ++plain_.signups;
   AMNESIA_INFO("server") << "signup: " << *user;
   respond(Response::ok_text("created"));
 }
@@ -386,7 +402,7 @@ void AmnesiaServer::handle_login(const Request& req,
   if (!mp) return;
 
   if (!throttle_.allowed(*user)) {
-    ++stats_.logins_throttled;
+    ++plain_.logins_throttled;
     respond(Response::error(429, "too many attempts; locked out"));
     return;
   }
@@ -396,11 +412,11 @@ void AmnesiaServer::handle_login(const Request& req,
       crypto::PasswordHasher::verify(to_bytes(*mp), record->mp_record);
   throttle_.record(*user, ok);
   if (!ok) {
-    ++stats_.logins_failed;
+    ++plain_.logins_failed;
     respond(Response::error(401, "bad user or master password"));
     return;
   }
-  ++stats_.logins_ok;
+  ++plain_.logins_ok;
   const std::string token = sessions_.create(*user);
   if (config_.replicated_state) {
     ensure_cluster_tables();
@@ -459,7 +475,7 @@ void AmnesiaServer::handle_pair_complete(const Request& req,
   const auto it = pending_pairings_.find(*user);
   if (it == pending_pairings_.end() || it->second.expires_at < sim_.now() ||
       !ct_equal(to_bytes(it->second.captcha), to_bytes(*captcha))) {
-    ++stats_.pairings_rejected;
+    ++plain_.pairings_rejected;
     respond(Response::error(403, "captcha verification failed"));
     return;
   }
@@ -474,7 +490,6 @@ void AmnesiaServer::handle_pair_complete(const Request& req,
   }
   // "the server does not store the Pid in plaintext" (section III-B1).
   db_.set_phone_binding(*user, *reg_id, mp_hasher_.hash(pid->bytes(), rng_));
-  ++stats_.pairings_completed;
   AMNESIA_INFO("server") << "paired phone for " << *user;
   respond(Response::ok_text("paired"));
 }
@@ -596,8 +611,7 @@ void AmnesiaServer::handle_password_request(const Request& req,
     const auto it = password_cache_.find(cache_key);
     if (it != password_cache_.end()) {
       if (it->second.expires_at > sim_.now()) {
-        ++stats_.cache_hits;
-        metrics_.counter("server.cache_hits").inc();
+        cache_hits_.inc(&metrics_);
         respond(websvc::Response::ok_form(
             {{"password", it->second.password}, {"cached", "1"}}));
         return;
@@ -606,21 +620,14 @@ void AmnesiaServer::handle_password_request(const Request& req,
     }
   }
 
-  ++stats_.password_requests;
-  metrics_.counter("server.password_requests").inc();
-  PendingPassword pending{*user,
-                          account->id,
-                          /*tstart_us=*/0,
-                          respond,
-                          TokenPurpose::kGenerate,
-                          /*chosen_password=*/"",
-                          session_token,
-                          /*round_span=*/{},
-                          /*wait_span=*/{}};
+  password_requests_.inc(&metrics_);
   begin_phone_round_trip(account->seed,
                          user_record->registration_id.value(),
                          req.header("X-Origin-IP").value_or("unknown"),
-                         std::move(pending));
+                         {.user = *user,
+                          .account = account->id,
+                          .respond = respond,
+                          .session_token = session_token});
 }
 
 void AmnesiaServer::begin_phone_round_trip(const core::Seed& seed,
@@ -636,8 +643,7 @@ void AmnesiaServer::begin_phone_round_trip(const core::Seed& seed,
   // Loop health at admission, for the flight recorder: a slow round that
   // was *admitted* behind a backed-up reactor is a capacity problem, not
   // a protocol one. Zero when this server runs without a TCP loop.
-  pending.loop_delay_at_admission =
-      metrics_.gauge("net.loop.dispatch_delay_us").value();
+  pending.loop_delay_at_admission = dispatch_delay_.get(&metrics_)->value();
   const core::Request r = core::make_request(pending.account, seed);
   core::PasswordRequestPush push_msg{request_id, r, origin_ip, tstart,
                                      /*trace=*/""};
@@ -705,8 +711,7 @@ void AmnesiaServer::begin_phone_round_trip(const core::Seed& seed,
         [request_id, push_span, tstart, registration_id, payload,
          this](Status s) {
           metrics_.tracer().end(push_span);
-          metrics_.histogram("rendezvous.push_ack_us")
-              .record(sim_.now() - tstart);
+          push_ack_.get(&metrics_)->record(sim_.now() - tstart);
           if (s.ok()) {
             rendezvous_breaker_.record_success(sim_.now());
             // Kill point for the failover drill: the request has reached
@@ -719,8 +724,7 @@ void AmnesiaServer::begin_phone_round_trip(const core::Seed& seed,
             return;
           }
           rendezvous_breaker_.record_failure(sim_.now());
-          ++stats_.push_failures;
-          metrics_.counter("server.push_failures").inc();
+          push_failures_.inc(&metrics_);
           // Degrade instead of failing the browser with a 502: if the
           // round is still pending, a polling phone can pick the request
           // up from the poll queue and answer before phone_wait_timeout_us.
@@ -769,8 +773,7 @@ void AmnesiaServer::enqueue_poll(const std::string& registration_id,
                       static_cast<std::int64_t>(entry.expires_at)});
   }
   queue.push_back(std::move(entry));
-  ++stats_.poll_enqueued;
-  metrics_.counter("server.poll_enqueued").inc();
+  poll_enqueued_.inc(&metrics_);
 }
 
 void AmnesiaServer::handle_push_poll(const Request& req,
@@ -789,8 +792,7 @@ void AmnesiaServer::handle_push_poll(const Request& req,
     }
     for (const auto& entry : queue) {
       body << base64_encode(entry.payload) << '\n';
-      ++stats_.poll_delivered;
-      metrics_.counter("server.poll_delivered").inc();
+      poll_delivered_.inc(&metrics_);
     }
     // Entries stay parked until TTL expiry rather than being deleted on
     // first delivery: this poll response may be lost to the same flaky
@@ -829,14 +831,18 @@ void AmnesiaServer::handle_token(const Request& req,
   pending_passwords_.erase(it);
   remove_round_row(request_id);
   // The phone has answered: the wait leg of the round is over.
-  ++stats_.tokens_accepted;
+  ++plain_.tokens_accepted;
   metrics_.tracer().end(pending.wait_span);
+  // A round that cannot complete answers the browser and the phone alike.
+  const auto fail = [&](const Response& resp) {
+    metrics_.tracer().end(pending.round_span);
+    pending.respond(resp);
+    respond(resp);
+  };
 
   const auto user_record = db_.get_user(pending.user);
   if (!user_record) {
-    metrics_.tracer().end(pending.round_span);
-    pending.respond(Response::error(500, "user state vanished"));
-    respond(Response::error(500, "user state vanished"));
+    fail(Response::error(500, "user state vanished"));
     return;
   }
 
@@ -844,9 +850,7 @@ void AmnesiaServer::handle_token(const Request& req,
     case TokenPurpose::kGenerate: {
       const auto account = db_.get_account(pending.user, pending.account);
       if (!account) {
-        metrics_.tracer().end(pending.round_span);
-        pending.respond(Response::error(500, "account state vanished"));
-        respond(Response::error(500, "account state vanished"));
+        fail(Response::error(500, "account state vanished"));
         return;
       }
       // p = SHA512(T || Oid || sigma), then the template fn (III-B4).
@@ -858,14 +862,12 @@ void AmnesiaServer::handle_token(const Request& req,
 
       const Micros tend = sim_.now();
       password_latencies_.push_back(tend - pending.tstart_us);
-      ++stats_.passwords_generated;
-      metrics_.counter("server.passwords_generated").inc();
+      passwords_generated_.inc(&metrics_);
       // Explicit exemplar context: the bucket this round lands in keeps
       // its trace id, so a bad percentile in a snapshot links straight to
       // GET /trace/<id> for the round that produced it.
-      metrics_.histogram("protocol.round_latency_us")
-          .record(tend - pending.tstart_us, pending.round_span,
-                  "protocol.round");
+      round_latency_.get(&metrics_)->record(tend - pending.tstart_us,
+                                   pending.round_span, "protocol.round");
 
       if (config_.password_cache_ttl_us > 0 &&
           !pending.session_token.empty()) {
@@ -891,9 +893,7 @@ void AmnesiaServer::handle_token(const Request& req,
     case TokenPurpose::kVaultStore: {
       const auto record = db_.vault_get(pending.user, pending.account);
       if (!record) {
-        metrics_.tracer().end(pending.round_span);
-        pending.respond(Response::error(500, "vault state vanished"));
-        respond(Response::error(500, "vault state vanished"));
+        fail(Response::error(500, "vault state vanished"));
         return;
       }
       // Vault key = first 32 bytes of SHA512(T || Oid || sigma_v): only a
@@ -909,7 +909,7 @@ void AmnesiaServer::handle_token(const Request& req,
       const Bytes sealed = crypto::aead_seal(
           key, nonce, aad, to_bytes(pending.chosen_password));
       db_.vault_set_ciphertext(pending.user, pending.account, nonce, sealed);
-      ++stats_.vault_stores;
+      ++plain_.vault_stores;
       pending.respond(Response::ok_text("stored"));
       metrics_.tracer().end(pending.round_span);
       maybe_record_slow(pending, "ok", sim_.now());
@@ -919,9 +919,7 @@ void AmnesiaServer::handle_token(const Request& req,
     case TokenPurpose::kVaultRetrieve: {
       const auto record = db_.vault_get(pending.user, pending.account);
       if (!record || !record->ciphertext || !record->nonce) {
-        metrics_.tracer().end(pending.round_span);
-        pending.respond(Response::error(404, "nothing stored"));
-        respond(Response::error(404, "nothing stored"));
+        fail(Response::error(404, "nothing stored"));
         return;
       }
       const Bytes p =
@@ -940,7 +938,6 @@ void AmnesiaServer::handle_token(const Request& req,
         respond(Response::ok_text("token accepted"));
         return;
       }
-      ++stats_.vault_retrievals;
       pending.respond(
           websvc::Response::ok_form({{"password", to_string(*opened)}}));
       metrics_.tracer().end(pending.round_span);
@@ -969,8 +966,7 @@ void AmnesiaServer::handle_token_decline(const Request& req,
     respond(Response::error(404, "unknown or expired request"));
     return;
   }
-  ++stats_.requests_declined;
-  metrics_.counter("server.requests_declined").inc();
+  requests_declined_.inc(&metrics_);
   finish_round_spans(it->second);
   maybe_record_slow(it->second, "declined", sim_.now());
   const Response result = Response::error(403, "declined on phone");
@@ -1023,7 +1019,7 @@ void AmnesiaServer::handle_recover_phone(const Request& req,
   }
   // ...then purge the old phone's binding; a new phone must re-register.
   db_.clear_phone_binding(*user);
-  ++stats_.phone_recoveries;
+  ++plain_.phone_recoveries;
   AMNESIA_INFO("server") << "phone recovery for " << *user;
   respond(Response::ok_text(body.str()));
 }
@@ -1082,7 +1078,7 @@ void AmnesiaServer::handle_recover_mp_confirm(const Request& req,
       db_.raw().remove("cluster_sessions", row[0]);
     }
   }
-  ++stats_.mp_changes;
+  ++plain_.mp_changes;
   AMNESIA_INFO("server") << "master password changed for " << *user;
   respond(Response::ok_text("master password changed"));
 }
@@ -1118,18 +1114,14 @@ void AmnesiaServer::handle_vault_store(const Request& req,
         *user, id, core::Seed::generate(rng_), std::nullopt, std::nullopt});
     record = db_.vault_get(*user, id);
   }
-  PendingPassword pending{*user,
-                          id,
-                          0,
-                          respond,
-                          TokenPurpose::kVaultStore,
-                          *chosen,
-                          req.cookie("session").value_or(""),
-                          /*round_span=*/{},
-                          /*wait_span=*/{}};
   begin_phone_round_trip(record->seed, *user_record->registration_id,
                          req.header("X-Origin-IP").value_or("unknown"),
-                         std::move(pending));
+                         {.user = *user,
+                          .account = id,
+                          .respond = respond,
+                          .purpose = TokenPurpose::kVaultStore,
+                          .chosen_password = *chosen,
+                          .session_token = req.cookie("session").value_or("")});
 }
 
 void AmnesiaServer::handle_vault_retrieve(const Request& req,
@@ -1153,18 +1145,13 @@ void AmnesiaServer::handle_vault_retrieve(const Request& req,
     respond(Response::error(409, "no phone paired"));
     return;
   }
-  PendingPassword pending{*user,
-                          id,
-                          0,
-                          respond,
-                          TokenPurpose::kVaultRetrieve,
-                          "",
-                          req.cookie("session").value_or(""),
-                          /*round_span=*/{},
-                          /*wait_span=*/{}};
   begin_phone_round_trip(record->seed, *user_record->registration_id,
                          req.header("X-Origin-IP").value_or("unknown"),
-                         std::move(pending));
+                         {.user = *user,
+                          .account = id,
+                          .respond = respond,
+                          .purpose = TokenPurpose::kVaultRetrieve,
+                          .session_token = req.cookie("session").value_or("")});
 }
 
 void AmnesiaServer::handle_vault_list(const Request& req,
@@ -1274,8 +1261,7 @@ void AmnesiaServer::arm_round_timeout(std::uint64_t request_id) {
   sim_.schedule_after(config_.phone_wait_timeout_us, [this, request_id] {
     const auto it = pending_passwords_.find(request_id);
     if (it == pending_passwords_.end()) return;
-    ++stats_.requests_timed_out;
-    metrics_.counter("server.requests_timed_out").inc();
+    requests_timed_out_.inc(&metrics_);
     finish_round_spans(it->second);
     maybe_record_slow(it->second, "timeout", sim_.now());
     const Response result = Response::error(504, "phone did not respond");
@@ -1320,8 +1306,7 @@ void AmnesiaServer::handle_password_await(const Request& req,
     respond(Response::error(404, "no round in flight for this account"));
     return;
   }
-  ++stats_.awaits_parked;
-  metrics_.counter("cluster.awaits_parked").inc();
+  awaits_parked_.inc(&metrics_);
   if (const auto prev = await_waiters_.find(key);
       prev != await_waiters_.end()) {
     prev->second(Response::error(409, "superseded by a newer await"));
@@ -1364,8 +1349,7 @@ void AmnesiaServer::promote_to_primary() {
                                       row[2].as_int(), now});
     ++sessions_restored;
   }
-  metrics_.counter("cluster.sessions_restored")
-      .inc(sessions_restored);
+  sessions_restored_.inc(&metrics_, sessions_restored);
 
   // Parked poll payloads: rows are seq-ordered (the insertion order), so
   // each queue rebuilds in expiry order.
@@ -1379,8 +1363,7 @@ void AmnesiaServer::promote_to_primary() {
         PollEntry{row[2].as_blob(), expires_at, seq});
     ++polls_restored;
   }
-  metrics_.counter("cluster.polls_restored")
-      .inc(polls_restored);
+  polls_restored_.inc(&metrics_, polls_restored);
 
   // In-flight rounds: adopt them with a fresh 504 backstop. The trace
   // contexts are the primary's — ending them here is a no-op (their
@@ -1411,8 +1394,7 @@ void AmnesiaServer::promote_to_primary() {
       next_request_id_ += config_.request_id_stride;
     }
     arm_round_timeout(id);
-    ++stats_.rounds_recovered;
-    metrics_.counter("cluster.rounds_recovered").inc();
+    rounds_recovered_.inc(&metrics_);
   }
 
   // Resolved rounds left no row behind, so also clear the replicated
@@ -1430,7 +1412,7 @@ void AmnesiaServer::promote_to_primary() {
   metrics_.events().emit(
       obs::EventLevel::kInfo, "cluster",
       "promoted to primary: " + std::to_string(sessions_restored) +
-          " sessions, " + std::to_string(stats_.rounds_recovered) +
+          " sessions, " + std::to_string(rounds_recovered_.value()) +
           " in-flight rounds, " + std::to_string(polls_restored) +
           " parked polls recovered");
 }

@@ -142,23 +142,26 @@ struct AmnesiaServerConfig {
   bool replicated_state = false;
 };
 
+/// The server's event counts. The fields from password_requests down are
+/// read from the registry counters of the same names (server.*, and
+/// cluster.* for the last two), which GET /metrics serves; the ones above
+/// have no counter and are plain counts.
 struct AmnesiaServerStats {
   std::uint64_t signups = 0;
   std::uint64_t logins_ok = 0;
   std::uint64_t logins_failed = 0;
   std::uint64_t logins_throttled = 0;
-  std::uint64_t pairings_completed = 0;
   std::uint64_t pairings_rejected = 0;
-  std::uint64_t password_requests = 0;
   std::uint64_t tokens_accepted = 0;  // phone tokens matched to a round
+  std::uint64_t phone_recoveries = 0;
+  std::uint64_t mp_changes = 0;
+  std::uint64_t vault_stores = 0;     // chosen-password-vault extension
+
+  std::uint64_t password_requests = 0;
   std::uint64_t passwords_generated = 0;
   std::uint64_t requests_declined = 0;
   std::uint64_t requests_timed_out = 0;
-  std::uint64_t phone_recoveries = 0;
-  std::uint64_t mp_changes = 0;
   std::uint64_t cache_hits = 0;       // session-mechanism extension
-  std::uint64_t vault_stores = 0;     // chosen-password-vault extension
-  std::uint64_t vault_retrievals = 0;
   std::uint64_t push_failures = 0;    // push leg failed; fell back to poll
   std::uint64_t poll_enqueued = 0;    // payloads parked for POST /push/poll
   std::uint64_t poll_delivered = 0;   // payloads handed to a polling phone
@@ -187,7 +190,7 @@ class AmnesiaServer {
   const simnet::NodeId& node_id() const { return node_->id(); }
 
   DbHandler& db() { return db_; }
-  const AmnesiaServerStats& stats() const { return stats_; }
+  AmnesiaServerStats stats() const;
   websvc::HttpServer& http() { return http_; }
   /// The secure-channel terminator — the NetGateway feeds it wire
   /// envelopes received over real TCP (SecureServer::handle_wire is
@@ -304,17 +307,17 @@ class AmnesiaServer {
   struct PendingPassword {
     std::string user;
     core::AccountId account;
-    Micros tstart_us;
+    Micros tstart_us = 0;
     websvc::Responder respond;
     TokenPurpose purpose = TokenPurpose::kGenerate;
-    std::string chosen_password;  // kVaultStore only
+    std::string chosen_password{};  // kVaultStore only
     std::string session_token;    // for the session cache
     // Open spans for this round; ended on whichever completion path fires
     // (token, decline, timeout, push failure). end() tolerates invalid
     // contexts. Both join the trace of the browser request that started
     // the round (the ambient http.server span).
-    obs::TraceContext round_span;
-    obs::TraceContext wait_span;
+    obs::TraceContext round_span{};
+    obs::TraceContext wait_span{};
     // True for a round adopted at promote_to_primary(): its original
     // browser connection died with the primary, so `respond` routes the
     // outcome into the /password/await rendezvous instead.
@@ -423,8 +426,28 @@ class AmnesiaServer {
   bool crashed_ = false;
 
   std::vector<Micros> password_latencies_;
-  AmnesiaServerStats stats_;
+  /// The counts with no registry counter; stats() reads the rest from
+  /// the handles below.
+  AmnesiaServerStats plain_;
   obs::SlowLog slowlog_;
+
+  // Each looked up in metrics_ at its first use. Reading the dispatch-delay
+  // gauge is a use: it joins the snapshot with the first password round.
+  obs::LazyCounter password_requests_{"server.password_requests"};
+  obs::LazyCounter passwords_generated_{"server.passwords_generated"};
+  obs::LazyCounter requests_declined_{"server.requests_declined"};
+  obs::LazyCounter requests_timed_out_{"server.requests_timed_out"};
+  obs::LazyCounter cache_hits_{"server.cache_hits"};
+  obs::LazyCounter push_failures_{"server.push_failures"};
+  obs::LazyCounter poll_enqueued_{"server.poll_enqueued"};
+  obs::LazyCounter poll_delivered_{"server.poll_delivered"};
+  obs::LazyCounter rounds_recovered_{"cluster.rounds_recovered"};
+  obs::LazyCounter awaits_parked_{"cluster.awaits_parked"};
+  obs::LazyCounter sessions_restored_{"cluster.sessions_restored"};
+  obs::LazyCounter polls_restored_{"cluster.polls_restored"};
+  obs::LazyGauge dispatch_delay_{"net.loop.dispatch_delay_us"};
+  obs::LazyHistogram push_ack_{"rendezvous.push_ack_us"};
+  obs::LazyHistogram round_latency_{"protocol.round_latency_us"};
 };
 
 }  // namespace amnesia::server

@@ -19,14 +19,6 @@ ConnectionPool::ConnectionPool(net::EventLoop& loop, std::string host,
 
 ConnectionPool::~ConnectionPool() { *alive_ = false; }
 
-std::size_t ConnectionPool::idle_connections() const {
-  std::size_t idle = 0;
-  for (const auto& c : conns_) {
-    if (c->in_flight == 0) ++idle;
-  }
-  return idle;
-}
-
 ConnectionPool::Conn* ConnectionPool::dial() {
   auto conn = std::make_unique<Conn>();
   conn->tcp = std::make_unique<net::TcpTransport>(loop_, host_, port_);
@@ -40,7 +32,7 @@ ConnectionPool::Conn* ConnectionPool::dial() {
   }
   if (ticket_cache_) conn->secure->adopt_ticket(*ticket_cache_);
   conn->last_used_us = loop_.clock().now_us();
-  if (config_.metrics) config_.metrics->counter("websvc.pool.dials").inc();
+  dials_.inc(config_.metrics);
   conns_.push_back(std::move(conn));
   arm_sweep();
   return conns_.back().get();
@@ -57,7 +49,7 @@ ConnectionPool::Conn* ConnectionPool::pick() {
     }
   }
   if (best_idle) {
-    if (config_.metrics) config_.metrics->counter("websvc.pool.reuses").inc();
+    reuses_.inc(config_.metrics);
     return best_idle;
   }
   if (conns_.size() < config_.max_connections) return dial();
@@ -67,7 +59,7 @@ ConnectionPool::Conn* ConnectionPool::pick() {
   for (const auto& c : conns_) {
     if (c->in_flight < least->in_flight) least = c.get();
   }
-  if (config_.metrics) config_.metrics->counter("websvc.pool.reuses").inc();
+  reuses_.inc(config_.metrics);
   return least;
 }
 
@@ -79,9 +71,7 @@ void ConnectionPool::finish(Conn* conn, bool transport_failed) {
     // channel but keep the ticket: the redial resumes on whichever shard
     // accepts the new connection.
     conn->secure->reset();
-    if (config_.metrics) {
-      config_.metrics->counter("websvc.pool.channel_resets").inc();
-    }
+    channel_resets_.inc(config_.metrics);
     return;
   }
   // Harvest the freshest resumption credential (tickets chain: each
@@ -100,14 +90,6 @@ ByteTransport ConnectionPool::transport() {
           cb(std::move(r));
         });
   };
-}
-
-void ConnectionPool::close_idle() {
-  conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                              [](const std::unique_ptr<Conn>& c) {
-                                return c->in_flight == 0;
-                              }),
-               conns_.end());
 }
 
 void ConnectionPool::arm_sweep() {
@@ -132,10 +114,7 @@ void ConnectionPool::sweep() {
                                 return evict;
                               }),
                conns_.end());
-  if (evicted > 0 && config_.metrics) {
-    config_.metrics->counter("websvc.pool.evicted_idle")
-        .inc(static_cast<std::uint64_t>(evicted));
-  }
+  if (evicted > 0) evicted_idle_.inc(config_.metrics, evicted);
   arm_sweep();  // re-arms only while entries remain
 }
 

@@ -66,10 +66,6 @@ class ConnectionPool {
   ByteTransport transport();
 
   std::size_t open_connections() const { return conns_.size(); }
-  std::size_t idle_connections() const;
-
-  /// Tears down every idle entry now (busy ones drain normally).
-  void close_idle();
 
  private:
   struct Conn {
@@ -99,6 +95,11 @@ class ConnectionPool {
   bool sweep_armed_ = false;
   // Guards the sweep timer callback against pool destruction.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  // Each looked up at its first event.
+  obs::LazyCounter dials_{"websvc.pool.dials"};
+  obs::LazyCounter reuses_{"websvc.pool.reuses"};
+  obs::LazyCounter channel_resets_{"websvc.pool.channel_resets"};
+  obs::LazyCounter evicted_idle_{"websvc.pool.evicted_idle"};
 };
 
 }  // namespace amnesia::websvc

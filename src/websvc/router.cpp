@@ -26,11 +26,11 @@ void Router::add(Method method, const std::string& pattern, Handler handler) {
       throw ProtocolError("Router: duplicate route " + pattern);
     }
   }
-  routes_.push_back(RouteEntry{method, split_path(pattern), pattern,
-                               std::move(handler)});
+  routes_.push_back(Route{method, pattern, std::move(handler),
+                          routes_.size(), split_path(pattern)});
 }
 
-bool Router::match(const RouteEntry& route,
+bool Router::match(const Route& route,
                    const std::vector<std::string>& segments,
                    PathParams& params) {
   if (route.segments.size() != segments.size()) return false;
@@ -47,24 +47,21 @@ bool Router::match(const RouteEntry& route,
   return true;
 }
 
-const Handler* Router::find(const Request& req, PathParams& params,
-                            std::string* pattern) const {
+const Router::Route* Router::find(const Request& req,
+                                  PathParams& params) const {
   const auto segments = split_path(req.path);
   for (const auto& route : routes_) {
     if (route.method != req.method) continue;
-    if (match(route, segments, params)) {
-      if (pattern) *pattern = route.pattern;
-      return &route.handler;
-    }
+    if (match(route, segments, params)) return &route;
   }
   return nullptr;
 }
 
 bool Router::dispatch(const Request& req, const Responder& respond) const {
   PathParams params;
-  const Handler* handler = find(req, params);
-  if (!handler) return false;
-  (*handler)(req, params, respond);
+  const Route* route = find(req, params);
+  if (!route) return false;
+  route->handler(req, params, respond);
   return true;
 }
 

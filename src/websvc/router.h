@@ -7,6 +7,7 @@
 // phone's token arrives).
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -30,30 +31,28 @@ class Router {
   /// matches (the caller then produces a 404).
   bool dispatch(const Request& req, const Responder& respond) const;
 
-  /// Resolves `req` to its handler without invoking it, filling `params`
-  /// and (when non-null) `pattern` with the matched route's registration
-  /// pattern. Returns null when no route matches. Lets the server label
-  /// per-route metrics by pattern (bounded cardinality) instead of by
-  /// raw request path.
-  const Handler* find(const Request& req, PathParams& params,
-                      std::string* pattern = nullptr) const;
-
-  std::size_t route_count() const { return routes_.size(); }
-
- private:
-  struct RouteEntry {
+  struct Route {
     Method method;
-    std::vector<std::string> segments;
     std::string pattern;
     Handler handler;
+    /// Registration index, so callers can keep per-route side tables.
+    std::size_t id;
+    std::vector<std::string> segments;  // `pattern`, split on '/'
   };
 
+  /// Resolves `req` to its route without invoking it, filling `params`;
+  /// null when no route matches. Lets the server label per-route metrics
+  /// by pattern (bounded cardinality) instead of by raw request path.
+  /// Routes are never removed or moved, so the pointer stays valid.
+  const Route* find(const Request& req, PathParams& params) const;
+
+ private:
   static std::vector<std::string> split_path(const std::string& path);
-  static bool match(const RouteEntry& route,
+  static bool match(const Route& route,
                     const std::vector<std::string>& segments,
                     PathParams& params);
 
-  std::vector<RouteEntry> routes_;
+  std::deque<Route> routes_;
 };
 
 }  // namespace amnesia::websvc

@@ -12,34 +12,49 @@ HttpServer::HttpServer(net::Executor& exec, int workers)
 
 void HttpServer::set_metrics(obs::MetricsRegistry* registry) {
   metrics_ = registry;
+  route_metrics_.clear();
   pool_.set_metrics(registry);
+}
+
+HttpServerStats HttpServer::stats() const {
+  return HttpServerStats{requests_.value(),      responses_2xx_.value(),
+                         responses_4xx_.value(), responses_5xx_.value(),
+                         parse_errors_.value(),  requests_shed_.value()};
 }
 
 void HttpServer::count_status(int status) {
   if (status >= 500) {
-    ++stats_.responses_5xx;
+    responses_5xx_.inc(metrics_);
   } else if (status >= 400) {
-    ++stats_.responses_4xx;
+    responses_4xx_.inc(metrics_);
   } else {
-    ++stats_.responses_2xx;
+    responses_2xx_.inc(metrics_);
   }
 }
 
-void HttpServer::note_stream_parse_error() {
-  ++stats_.parse_errors;
-  if (metrics_) metrics_->counter("http.parse_errors").inc();
+HttpServer::RouteMetrics& HttpServer::route_metrics(
+    const Router::Route& route) {
+  if (route_metrics_.size() <= route.id) route_metrics_.resize(route.id + 1);
+  RouteMetrics& m = route_metrics_[route.id];
+  if (m.requests == nullptr) {
+    const std::string prefix = "http.route." +
+                               std::string(method_name(route.method)) + ":" +
+                               route.pattern;
+    m.requests = &metrics_->counter(prefix + ".requests");
+    m.latency = &metrics_->histogram(prefix + ".latency_us");
+  }
+  return m;
 }
+
+void HttpServer::note_stream_parse_error() { parse_errors_.inc(metrics_); }
 
 void HttpServer::handle_bytes(const Bytes& wire,
                               std::function<void(Bytes)> respond) {
-  ++stats_.requests;
   Request req;
   try {
     req = parse_request(wire);
   } catch (const FormatError& e) {
-    ++stats_.parse_errors;
-    ++stats_.responses_4xx;
-    if (metrics_) metrics_->counter("http.parse_errors").inc();
+    parse_errors_.inc(metrics_);
     respond(serialize(Response::error(400, e.what())));
     return;
   }
@@ -55,43 +70,42 @@ void HttpServer::handle_bytes(const Bytes& wire,
       req.headers[obs::kTraceHeaderName] = obs::format_trace_header(remote);
     } else {
       req.headers.erase(obs::kTraceHeaderName);
-      if (metrics_) metrics_->counter("http.trace_headers_rejected").inc();
+      trace_headers_rejected_.inc(metrics_);
     }
   }
+
+  // One route lookup per request. Metrics are labelled by the route's
+  // registration pattern (bounded cardinality), not the raw request path.
+  PathParams params;
+  const Router::Route* route = router_.find(req, params);
+  const auto marked = [route](const std::set<std::string>& patterns) {
+    return route != nullptr && patterns.contains(route->pattern);
+  };
 
   // Metrics-exempt routes (the /metrics exporter) are served outside the
   // worker pool and without instrumentation, so that exporting a snapshot
   // neither perturbs pool occupancy nor mutates the registry it reports.
-  if (!metrics_exempt_.empty()) {
-    PathParams params;
-    std::string pattern;
-    const Handler* found = router_.find(req, params, &pattern);
-    if (found && metrics_exempt_.contains(pattern)) {
-      Handler handler = *found;
-      auto responder = [this, respond = std::move(respond)](Response resp) {
-        count_status(resp.status);
-        respond(serialize(resp));
-      };
-      try {
-        handler(req, params, responder);
-      } catch (const Error& e) {
-        AMNESIA_ERROR("websvc") << "exempt handler threw: " << e.what();
-        responder(Response::error(500, "internal error"));
-      }
-      return;
+  if (marked(metrics_exempt_)) {
+    auto responder = [respond = std::move(respond)](Response resp) {
+      respond(serialize(resp));
+    };
+    try {
+      route->handler(req, params, responder);
+    } catch (const Error& e) {
+      AMNESIA_ERROR("websvc") << "exempt handler threw: " << e.what();
+      responder(Response::error(500, "internal error"));
     }
+    return;
   }
 
   // Load shedding: reject rather than queue unboundedly. An early 503
   // with Retry-After costs the client one cheap round instead of a worker
   // queue slot held for seconds (graceful degradation under overload).
   if (shed_max_queue_ > 0 && pool_.busy() >= pool_.workers() &&
-      pool_.queue_depth() >= shed_max_queue_) {
-    ++stats_.requests_shed;
-    count_status(503);
+      pool_.queue_depth() >= shed_max_queue_ && !marked(never_shed_)) {
+    requests_shed_.inc(metrics_);
+    responses_5xx_.inc(metrics_);
     if (metrics_) {
-      metrics_->counter("resilience.requests_shed").inc();
-      metrics_->counter("http.responses_5xx").inc();
       const obs::ScopedTrace scope(remote);  // tag the event with the trace
       metrics_->events().emit(obs::EventLevel::kWarn, "websvc",
                               "load shed 503: " + req.path);
@@ -107,56 +121,37 @@ void HttpServer::handle_bytes(const Bytes& wire,
   obs::TraceContext server_span;  // invalid when tracing is off
   if (metrics_) {
     obs::Tracer& tracer = metrics_->tracer();
-    server_span = tracer.start_span("http.server", trace_component_, remote);
+    server_span = tracer.start_span("http.server", "server", remote);
     tracer.add_attribute(server_span, "path", req.path);
   }
 
   const Micros arrived_at = exec_.clock().now_us();
-  pool_.submit([this, arrived_at, server_span, req = std::move(req),
-                respond = std::move(respond)](
+  pool_.submit([this, arrived_at, server_span, route, req = std::move(req),
+                params = std::move(params), respond = std::move(respond)](
                    std::function<void()> release) mutable {
     const Micros cost = service_time_ ? service_time_(req) : 0;
-    auto dispatch = [this, arrived_at, server_span, req = std::move(req),
+    auto dispatch = [this, arrived_at, server_span, route,
+                     req = std::move(req), params = std::move(params),
                      respond = std::move(respond),
                      release = std::move(release)]() mutable {
-      // Resolve the route up front so the responder can label metrics by
-      // the registration pattern (bounded cardinality) rather than the
-      // raw request path.
-      PathParams params;
-      std::string pattern;
-      const Handler* handler = router_.find(req, params, &pattern);
-
-      const bool observe =
-          metrics_ && (!handler || !metrics_exempt_.contains(pattern));
+      requests_.inc(metrics_);
       obs::Histogram* latency = nullptr;
-      if (observe) metrics_->counter("http.requests").inc();
-      if (observe && handler) {
-        const std::string route =
-            std::string(method_name(req.method)) + ":" + pattern;
-        metrics_->counter("http.route." + route + ".requests").inc();
-        latency = &metrics_->histogram("http.route." + route + ".latency_us");
+      if (metrics_ && route) {
+        RouteMetrics& m = route_metrics(*route);
+        m.requests->inc();
+        latency = m.latency;
       }
 
-      auto responder = [this, arrived_at, observe, latency, server_span,
-                        pattern,
+      auto responder = [this, arrived_at, latency, server_span, route,
                         respond = std::move(respond),
                         release = std::move(release)](Response resp) {
         count_status(resp.status);
-        if (observe) {
-          if (resp.status >= 500) {
-            metrics_->counter("http.responses_5xx").inc();
-          } else if (resp.status >= 400) {
-            metrics_->counter("http.responses_4xx").inc();
-          } else {
-            metrics_->counter("http.responses_2xx").inc();
-          }
-        }
         if (latency) {
           // The server hop's context is the exemplar: an operator reading
           // a slow bucket in the snapshot jumps to GET /trace/<id> for
           // the exact request that landed there.
           latency->record(exec_.clock().now_us() - arrived_at, server_span,
-                          pattern);
+                          route->pattern);
         }
         if (server_span.valid()) {
           // Echo only our own canonical serialization, never the inbound
@@ -168,7 +163,7 @@ void HttpServer::handle_bytes(const Bytes& wire,
         respond(serialize(resp));
         release();
       };
-      if (!handler) {
+      if (!route) {
         responder(Response::error(404, "no route for " + req.path));
         return;
       }
@@ -176,7 +171,7 @@ void HttpServer::handle_bytes(const Bytes& wire,
         // Handlers (and everything they call synchronously) see this
         // request's context as the ambient trace.
         const obs::ScopedTrace scope(server_span);
-        (*handler)(req, params, responder);
+        route->handler(req, params, responder);
       } catch (const Error& e) {
         AMNESIA_ERROR("websvc") << "handler threw: " << e.what();
         responder(Response::error(500, "internal error"));

@@ -51,8 +51,6 @@ class SessionManager {
   /// Revokes every session of `principal` (master-password change).
   std::size_t revoke_all(const std::string& principal);
 
-  std::size_t active_count() const { return sessions_.size(); }
-
   /// All live sessions (replication snapshot; no last_seen refresh).
   std::vector<Session> snapshot() const;
 

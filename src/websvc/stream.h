@@ -81,7 +81,6 @@ class HttpStreamSession
       net::StreamPtr stream, HttpServer& server,
       HttpStreamParser::Limits limits = HttpStreamParser::Limits{});
 
-  std::uint64_t requests_seen() const { return next_issue_; }
   bool closed() const { return closed_; }
 
  private:

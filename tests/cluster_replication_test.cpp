@@ -285,6 +285,36 @@ TEST(ClusterHostile, AppendFromMismatchedBaseGetsGap) {
   EXPECT_EQ(reply->seq, applied);
 }
 
+TEST(ClusterHostile, PartialBatchCountsTheRecordsItApplied) {
+  // A batch stops at its first record that fails validation. The records
+  // before it are applied, and both counts move by exactly those.
+  Deployment bed({.replicas = 2});
+  bed.start();
+  ASSERT_TRUE(bed.run_until([&] { return bed.node(0).replication_lag() == 0; },
+                            5'000'000));
+  ClusterNode& follower = bed.node(1);
+  const obs::Counter& counter =
+      follower.server().metrics().counter("cluster.records_applied");
+  const std::uint64_t applied = follower.log_seq();
+  const std::uint64_t stats_before = follower.stats().records_applied;
+  const std::uint64_t counter_before = counter.value();
+
+  obs::TraceSpan open_span = sample_span();
+  open_span.finished = false;
+  std::optional<ReplReply> reply;
+  follower.handle_repl(
+      cluster::encode_append(
+          follower.epoch(), applied,
+          {{RecordKind::kSpanStart, cluster::encode_span(open_span)},
+           {RecordKind::kStorage, to_bytes("not a journal record")}}),
+      [&](Bytes b) { reply = cluster::decode_reply(b); });
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->status, ReplStatus::kGap);
+  EXPECT_EQ(reply->seq, applied + 1);
+  EXPECT_EQ(follower.stats().records_applied - stats_before, 1u);
+  EXPECT_EQ(counter.value() - counter_before, 1u);
+}
+
 TEST(ClusterHostile, DeadNodeNeverResponds) {
   Deployment bed({.replicas = 2});
   bed.start();

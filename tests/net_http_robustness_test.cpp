@@ -90,7 +90,7 @@ class RobustnessFixture : public ::testing::Test {
   }
 
   std::uint64_t parse_errors() const {
-    return server_.stats().parse_errors.load();
+    return server_.stats().parse_errors;
   }
 
   net::EventLoop loop_;
@@ -195,8 +195,8 @@ TEST_F(RobustnessFixture, PipelinedRequestsAnswerInOrder) {
     }
   }
   EXPECT_EQ(pongs, 3u);
-  EXPECT_EQ(server_.stats().requests.load(), 3u);
-  EXPECT_EQ(server_.stats().responses_2xx.load(), 3u);
+  EXPECT_EQ(server_.stats().requests, 3u);
+  EXPECT_EQ(server_.stats().responses_2xx, 3u);
   EXPECT_EQ(parse_errors(), 0u);
   ::close(fd);
 }

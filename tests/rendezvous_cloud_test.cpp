@@ -4,6 +4,7 @@
 
 #include "cloud/blob_store.h"
 #include "crypto/drbg.h"
+#include "obs/metrics.h"
 #include "rendezvous/push_service.h"
 #include "simnet/network.h"
 #include "simnet/node.h"
@@ -19,6 +20,7 @@ struct PushWorld {
   simnet::Simulation sim{123};
   simnet::Network net{sim};
   crypto::ChaChaDrbg rng{55};
+  obs::MetricsRegistry metrics;  // PushService::stats() reads it
   PushService service{net, "gcm", rng};
   simnet::Node server_node{net, "amnesia-server"};
   simnet::Node phone_node{net, "phone"};
@@ -27,6 +29,7 @@ struct PushWorld {
   std::vector<std::string> phone_inbox;
 
   PushWorld() {
+    service.set_metrics(&metrics);
     phone_node.set_oneway_handler(
         [this](const simnet::NodeId&, const Bytes& body) {
           phone_inbox.push_back(to_string(body));

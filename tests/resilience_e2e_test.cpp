@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -222,6 +223,45 @@ TEST(ResilienceE2E, SaturatedServerShedsPastShedMaxQueue) {
   EXPECT_EQ(bed.server().http().stats().requests_shed, 1u);
   EXPECT_EQ(
       bed.server().metrics().counter("resilience.requests_shed").value(), 1u);
+}
+
+TEST(ResilienceE2E, SheddingNeverStrandsARoundsToken) {
+  // Both workers busy, one with a parked password round and one with a
+  // slow GET /accounts, and a second GET /accounts queued at the bound.
+  // The phone's POST /token completes the parked round, so it queues past
+  // the bound: a 503 would be final to the phone, and the round would hold
+  // its worker until the phone-wait timeout.
+  TestbedConfig config;
+  config.server.workers = 2;
+  config.server.shed_max_queue = 1;
+  Testbed bed(config);
+  ASSERT_TRUE(bed.provision("alice", "mp").ok());
+  ASSERT_TRUE(bed.add_account("alice", "example.com").ok());
+  const auto truth = bed.get_password("alice", "example.com");
+  ASSERT_TRUE(truth.ok()) << truth.message();
+
+  bed.server().http().set_service_time([](const websvc::Request& req) {
+    return req.path == "/accounts" ? ms_to_us(2'000) : Micros{0};
+  });
+  crypto::ChaChaDrbg rng(96);
+  testutil::OpsClient ops(bed, rng);
+  std::optional<Result<std::string>> round;
+  bed.browser().request_password(
+      "alice", "example.com", [&](Result<std::string> r) { round = r; });
+  std::vector<int> statuses;
+  for (int i = 0; i < 2; ++i) {
+    ops.http.get("/accounts", [&](Result<websvc::Response> r) {
+      if (r.ok()) statuses.push_back(r.value().status);
+    });
+  }
+  bed.sim().run_until(bed.sim().now() + ms_to_us(15'000));
+
+  ASSERT_TRUE(round.has_value());
+  ASSERT_TRUE(round->ok()) << round->message();
+  EXPECT_EQ(round->value(), truth.value());
+  EXPECT_EQ(statuses, (std::vector<int>{401, 401}));
+  EXPECT_EQ(bed.server().http().stats().requests_shed, 0u);
+  EXPECT_EQ(bed.server().stats().requests_timed_out, 0u);
 }
 
 }  // namespace

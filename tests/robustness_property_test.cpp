@@ -15,6 +15,7 @@
 #include "core/protocol.h"
 #include "crypto/drbg.h"
 #include "rendezvous/push_service.h"
+#include "obs/metrics.h"
 #include "securechan/channel.h"
 #include "simnet/network.h"
 #include "simnet/node.h"
@@ -134,6 +135,8 @@ TEST_P(FuzzSweep, SecureChannelServerSurvivesGarbage) {
   crypto::ChaChaDrbg rng(5000 + GetParam());
   crypto::ChaChaDrbg srv_rng(1);
   securechan::SecureServer server(crypto::x25519_generate(srv_rng), srv_rng);
+  obs::MetricsRegistry metrics;  // stats() reads it
+  server.set_metrics(&metrics);
   server.set_handler([](const Bytes&, std::function<void(Bytes)> respond) {
     respond(to_bytes("should not leak"));
   });
@@ -146,6 +149,7 @@ TEST_P(FuzzSweep, SecureChannelServerSurvivesGarbage) {
   // can look like a client hello (first byte 0x01 with 48+ bytes), which
   // yields a handshake response but no handler invocation.
   EXPECT_EQ(server.stats().records_opened, 0u);
+  EXPECT_GT(server.stats().records_rejected, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range(0, 5));
@@ -155,6 +159,8 @@ TEST(RpcRobustness, RendezvousAndCloudRejectGarbage) {
   simnet::Network net(sim);
   crypto::ChaChaDrbg rng(43);
   rendezvous::PushService gcm(net, "gcm", rng);
+  obs::MetricsRegistry metrics;  // stats() reads it
+  gcm.set_metrics(&metrics);
   cloud::BlobStoreService cloud_svc(net, "cloud");
   simnet::Node attacker(net, "attacker");
 

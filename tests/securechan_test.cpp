@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "crypto/drbg.h"
+#include "obs/metrics.h"
 #include "securechan/channel.h"
 #include "simnet/network.h"
 #include "storage/codec.h"
@@ -69,11 +70,13 @@ struct SecureWorld {
   crypto::ChaChaDrbg server_rng{100};
   crypto::ChaChaDrbg client_rng{200};
   crypto::X25519KeyPair server_keys = crypto::x25519_generate(server_rng);
+  obs::MetricsRegistry metrics;  // SecureServer::stats() reads it
   SecureServer server{server_keys, server_rng};
   SecureClient client{client_node, "server", server_keys.public_key,
                       client_rng};
 
   SecureWorld() {
+    server.set_metrics(&metrics);
     server.set_handler([](const Bytes& req, std::function<void(Bytes)> respond) {
       Bytes reply = to_bytes("echo:");
       append(reply, req);

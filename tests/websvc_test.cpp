@@ -2,8 +2,11 @@
 // model, and end-to-end client/server over the simulated network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "crypto/drbg.h"
@@ -262,10 +265,12 @@ struct TestService {
   simnet::Network net{sim};
   simnet::Node server_node{net, "server"};
   simnet::Node client_node{net, "client"};
+  obs::MetricsRegistry metrics;  // HttpServer::stats() reads it
   HttpServer server{sim, 10};
   HttpClient client{plain_transport(client_node, "server")};
 
   TestService() {
+    server.set_metrics(&metrics);
     server.router().add(
         Method::kGet, "/hello",
         [](const Request&, const PathParams&, Responder respond) {
@@ -508,6 +513,116 @@ TEST(HttpEndToEnd, LoadShedAnswers503PastTheQueueBound) {
   EXPECT_EQ(server.pool().busy(), 0);
   EXPECT_EQ(server.stats().requests_shed, 1u);
   EXPECT_EQ(server.stats().responses_5xx, 1u);
+}
+
+TEST(HttpEndToEnd, StatsAreTheRegistryCounters) {
+  // Five requests: two routed, one shed, one to a metrics-exempt route and
+  // one unparseable. stats() reports exactly what GET /metrics serves.
+  simnet::Simulation sim(64);
+  HttpServer server(sim, 1);
+  obs::MetricsRegistry registry(&sim.clock());
+  server.set_metrics(&registry);
+  server.set_load_shed(1);
+  Responder held;
+  server.router().add(Method::kGet, "/hold",
+                      [&](const Request&, const PathParams&, Responder respond) {
+                        held = std::move(respond);
+                      });
+  server.router().add(Method::kGet, "/work",
+                      [](const Request&, const PathParams&, Responder respond) {
+                        respond(Response::ok_text("done"));
+                      });
+  server.router().add(Method::kGet, "/healthz",
+                      [](const Request&, const PathParams&, Responder respond) {
+                        respond(Response::ok_text("ok"));
+                      });
+  server.metrics_exempt("/healthz");
+  std::vector<int> statuses;
+  const auto send = [&](const Bytes& wire) {
+    server.handle_bytes(wire, [&](Bytes reply) {
+      statuses.push_back(parse_response(reply).status);
+    });
+  };
+  const auto get = [](const std::string& path) {
+    Request req;
+    req.method = Method::kGet;
+    req.path = path;
+    return serialize(req);
+  };
+
+  send(get("/hold"));             // takes the one worker
+  send(get("/work"));             // queues at the bound
+  send(get("/work"));             // shed
+  send(get("/healthz"));          // exempt
+  send(to_bytes("not http\r\n"));  // unparseable
+  ASSERT_TRUE(held);
+  held(Response::ok_text("released"));
+  RunSim(sim);
+  std::sort(statuses.begin(), statuses.end());
+  EXPECT_EQ(statuses, (std::vector<int>{200, 200, 200, 400, 503}));
+
+  const HttpServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.responses_2xx, 2u);
+  EXPECT_EQ(stats.responses_4xx, 0u);
+  EXPECT_EQ(stats.responses_5xx, 1u);
+  EXPECT_EQ(stats.parse_errors, 1u);
+  EXPECT_EQ(stats.requests_shed, 1u);
+  EXPECT_EQ(stats.requests, registry.counter("http.requests").value());
+  EXPECT_EQ(stats.responses_2xx,
+            registry.counter("http.responses_2xx").value());
+  EXPECT_EQ(stats.responses_4xx,
+            registry.counter("http.responses_4xx").value());
+  EXPECT_EQ(stats.responses_5xx,
+            registry.counter("http.responses_5xx").value());
+  EXPECT_EQ(stats.parse_errors, registry.counter("http.parse_errors").value());
+  EXPECT_EQ(stats.requests_shed,
+            registry.counter("resilience.requests_shed").value());
+}
+
+TEST(HttpEndToEnd, NeverShedRouteQueuesPastTheBound) {
+  // A route marked never_shed() queues even when the bound is hit; the
+  // next ordinary request is still shed.
+  simnet::Simulation sim(65);
+  HttpServer server(sim, 1);
+  obs::MetricsRegistry registry(&sim.clock());
+  server.set_metrics(&registry);
+  server.set_load_shed(1);
+  Responder held;
+  server.router().add(Method::kGet, "/hold",
+                      [&](const Request&, const PathParams&, Responder respond) {
+                        held = std::move(respond);
+                      });
+  for (const char* path : {"/work", "/finish"}) {
+    server.router().add(Method::kPost, path,
+                        [](const Request&, const PathParams&,
+                           Responder respond) {
+                          respond(Response::ok_text("done"));
+                        });
+  }
+  server.never_shed("/finish");
+  std::map<std::string, std::vector<int>> statuses;
+  const auto send = [&](Method method, const std::string& path) {
+    Request req;
+    req.method = method;
+    req.path = path;
+    server.handle_bytes(serialize(req), [&statuses, path](Bytes reply) {
+      statuses[path].push_back(parse_response(reply).status);
+    });
+  };
+
+  send(Method::kGet, "/hold");
+  send(Method::kPost, "/work");    // queues at the bound
+  send(Method::kPost, "/finish");  // past the bound, but never shed
+  send(Method::kPost, "/work");    // shed
+  EXPECT_EQ(server.pool().queue_depth(), 2u);
+  EXPECT_EQ(statuses["/work"], (std::vector<int>{503}));
+  ASSERT_TRUE(held);
+  held(Response::ok_text("released"));
+  RunSim(sim);
+  EXPECT_EQ(statuses["/work"], (std::vector<int>{503, 200}));
+  EXPECT_EQ(statuses["/finish"], (std::vector<int>{200}));
+  EXPECT_EQ(server.stats().requests_shed, 1u);
 }
 
 TEST(HttpEndToEnd, TransportTimeoutSurfacesAsFailure) {

@@ -1,14 +1,14 @@
 #!/bin/sh
 # Builds and runs the full test suite three ways: plain, under
-# AddressSanitizer + UndefinedBehaviorSanitizer, and — for the src/net
-# event loop / transport tests, which are the only multithreaded hot
-# paths — under ThreadSanitizer (AMNESIA_SANITIZE, see the top-level
-# CMakeLists.txt). Run from anywhere inside the repo:
+# AddressSanitizer + UndefinedBehaviorSanitizer, and — for the suites
+# that run real threads (see the tsan filter below) — under
+# ThreadSanitizer (AMNESIA_SANITIZE, see the top-level CMakeLists.txt).
+# Run from anywhere inside the repo:
 #
 #   tools/run_tests.sh            # all passes
 #   tools/run_tests.sh plain      # plain pass only
 #   tools/run_tests.sh sanitize   # ASan+UBSan pass only
-#   tools/run_tests.sh tsan       # TSan pass (net tests) only
+#   tools/run_tests.sh tsan       # TSan pass (threaded suites) only
 #   tools/run_tests.sh faults     # fault-injection/torture pass
 #   tools/run_tests.sh perfbench  # benchmark self-test (python3)
 #
